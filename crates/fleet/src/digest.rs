@@ -3,12 +3,15 @@
 //! A fleet run at full scale dispatches tens of millions of events;
 //! keeping the traces in memory just to compare them across thread
 //! counts would dwarf the simulation itself. The [`DigestSink`] instead
-//! folds each event's canonical JSON-line bytes — exactly the bytes
-//! `Trace::to_jsonl` would emit — into an FNV-1a-64 running hash, so
-//! "byte-identical telemetry" collapses to one `u64` comparison while
-//! remaining sensitive to any reordering, insertion or field change.
+//! streams each event's canonical JSON-line bytes — exactly the bytes
+//! `Trace::to_jsonl` would emit — from the telemetry encoder straight
+//! into an FNV-1a-64 running hash, so "byte-identical telemetry"
+//! collapses to one `u64` comparison while remaining sensitive to any
+//! reordering, insertion or field change.
 
-use amoeba_telemetry::{TelemetryEvent, TelemetrySink};
+use std::fmt;
+
+use amoeba_telemetry::{TelemetryEvent, TelemetrySink, Trace};
 
 /// FNV-1a 64-bit offset basis: the empty-input digest.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -24,15 +27,28 @@ pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
+/// A running FNV-1a-64 state that text is written into: the encoder's
+/// bytes are folded as they arrive, never buffered.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
 /// A [`TelemetrySink`] that hashes instead of storing.
 ///
-/// Each event contributes the bytes of `event.to_json().compact()`
-/// plus a trailing newline — the exact line `Trace::to_jsonl` writes —
-/// so a `DigestSink` digest equals [`DigestSink::of_jsonl`] over the
-/// equivalent materialised trace.
+/// Each event contributes its JSON line plus a trailing newline — the
+/// exact bytes `Trace::to_jsonl` writes — encoded straight into the hash
+/// without allocating, so a `DigestSink` digest equals
+/// [`DigestSink::of_jsonl`] over the equivalent materialised trace.
 #[derive(Debug, Clone, Copy)]
 pub struct DigestSink {
-    state: u64,
+    hash: Fnv,
     events: u64,
 }
 
@@ -40,7 +56,7 @@ impl DigestSink {
     /// An empty digest (state = FNV offset basis).
     pub fn new() -> Self {
         DigestSink {
-            state: FNV_OFFSET,
+            hash: Fnv(FNV_OFFSET),
             events: 0,
         }
     }
@@ -50,9 +66,19 @@ impl DigestSink {
         fnv1a(FNV_OFFSET, text.as_bytes())
     }
 
+    /// The digest of a trace's JSON-lines form, streamed without
+    /// materialising the text.
+    pub fn of_trace(trace: &Trace) -> u64 {
+        let mut hash = Fnv(FNV_OFFSET);
+        trace
+            .write_jsonl(&mut hash)
+            .expect("hashing text cannot fail");
+        hash.0
+    }
+
     /// The running digest.
     pub fn digest(&self) -> u64 {
-        self.state
+        self.hash.0
     }
 
     /// Events hashed so far.
@@ -74,9 +100,10 @@ impl TelemetrySink for DigestSink {
     }
 
     fn record(&mut self, event: TelemetryEvent) {
-        let line = event.to_json().compact();
-        self.state = fnv1a(self.state, line.as_bytes());
-        self.state = fnv1a(self.state, b"\n");
+        event
+            .write_json(&mut self.hash)
+            .expect("hashing text cannot fail");
+        self.hash.0 = fnv1a(self.hash.0, b"\n");
         self.events += 1;
     }
 }
@@ -116,7 +143,9 @@ mod tests {
             d.record(beat(s));
             m.record(beat(s));
         }
-        assert_eq!(d.digest(), DigestSink::of_jsonl(&m.into_trace().to_jsonl()));
+        let trace = m.into_trace();
+        assert_eq!(d.digest(), DigestSink::of_jsonl(&trace.to_jsonl()));
+        assert_eq!(d.digest(), DigestSink::of_trace(&trace));
         assert_eq!(d.events(), 5);
     }
 

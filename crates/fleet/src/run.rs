@@ -164,7 +164,7 @@ impl CellSink {
             CellSink::Digest(d) => (d.digest(), None),
             CellSink::Memory(m) => {
                 let trace = m.into_trace();
-                (DigestSink::of_jsonl(&trace.to_jsonl()), Some(trace))
+                (DigestSink::of_trace(&trace), Some(trace))
             }
         }
     }
@@ -249,8 +249,8 @@ impl FleetRun {
     }
 
     /// Execute with telemetry discarded (`digest == 0`): the fast path
-    /// for wall-clock measurements, where per-event serialisation would
-    /// otherwise dominate and mask the simulation's own scaling.
+    /// for wall-clock measurements, where per-event encoding and hashing
+    /// would otherwise be timed along with the simulation itself.
     pub fn run_quiet(self, threads: usize) -> FleetOutcome {
         self.execute(threads, SinkMode::Quiet).0
     }

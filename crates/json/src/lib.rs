@@ -12,7 +12,7 @@ pub mod parse;
 pub mod value;
 
 pub use parse::{parse, ParseError};
-pub use value::{Number, Value};
+pub use value::{write_escaped, Number, Value};
 
 /// Render any [`Value`] with two-space indentation.
 pub fn to_string_pretty(v: &Value) -> Result<String, core::fmt::Error> {

@@ -141,88 +141,104 @@ impl Value {
 
     /// Render compactly (no whitespace).
     pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.to_string()
     }
 
     /// Render with two-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, Some(2), 0)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let nl = |out: &mut String, d: usize| {
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * d));
-            }
+    fn write<W: fmt::Write + ?Sized>(
+        &self,
+        out: &mut W,
+        indent: Option<usize>,
+        depth: usize,
+    ) -> fmt::Result {
+        let nl = |out: &mut W, d: usize| match indent {
+            Some(w) => write!(out, "\n{:1$}", "", w * d),
+            None => Ok(()),
         };
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&n.to_string()),
+            Value::Null => out.write_str("null"),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Number(n) => write!(out, "{n}"),
             Value::String(s) => write_escaped(out, s),
             Value::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    nl(out, depth + 1);
-                    v.write(out, indent, depth + 1);
+                    nl(out, depth + 1)?;
+                    v.write(out, indent, depth + 1)?;
                 }
                 if !items.is_empty() {
-                    nl(out, depth);
+                    nl(out, depth)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Value::Object(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    nl(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
+                    nl(out, depth + 1)?;
+                    write_escaped(out, k)?;
+                    out.write_char(':')?;
                     if indent.is_some() {
-                        out.push(' ');
+                        out.write_char(' ')?;
                     }
-                    v.write(out, indent, depth + 1);
+                    v.write(out, indent, depth + 1)?;
                 }
                 if !pairs.is_empty() {
-                    nl(out, depth);
+                    nl(out, depth)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Write `s` as a JSON string literal: `"`, `\`, and control
+/// characters escaped, everything else (including non-ASCII) verbatim.
+/// This is the one string printer — [`Value`]'s and any streaming
+/// encoder built on this crate.
+pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `i` is always a char boundary.
+        out.write_str(&s[clean..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        clean = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[clean..])?;
+    out.write_char('"')
 }
 
+/// Compact rendering (no whitespace), written straight into the
+/// formatter.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.compact())
+        self.write(f, None, 0)
     }
 }
 
@@ -392,5 +408,20 @@ mod tests {
     fn escaping() {
         let v = Value::from("a\"b\\c\nd");
         assert_eq!(v.compact(), r#""a\"b\\c\nd""#);
+        let v = Value::from("\u{1}é\t\u{1f}x");
+        assert_eq!(v.compact(), r#""\u0001é\t\u001fx""#);
+    }
+
+    #[test]
+    fn pretty_indents_two_spaces_per_level() {
+        let v = Value::Object(vec![
+            ("a".into(), Value::from(vec![1.0, 2.5])),
+            ("b".into(), Value::Array(vec![])),
+        ]);
+        assert_eq!(
+            v.pretty(),
+            "{\n  \"a\": [\n    1.0,\n    2.5\n  ],\n  \"b\": []\n}"
+        );
+        assert_eq!(v.to_string(), r#"{"a":[1.0,2.5],"b":[]}"#);
     }
 }

@@ -28,11 +28,21 @@
 //! [`Trace::summary`] and a JSON-lines serialisation
 //! ([`Trace::to_jsonl`] / [`Trace::from_jsonl`]). The line format is
 //! documented in `DESIGN.md` ("Telemetry event schema").
+//!
+//! The schema is declared once, in a table in [`event`]: from each
+//! record's field list a macro derives the structs, the streaming
+//! encoder ([`TelemetryEvent::write_json`], which writes into any
+//! `fmt::Write` without allocating), the decoder and the `Trace`
+//! accessors.
 
+mod codec;
 pub mod event;
 pub mod sink;
 pub mod trace;
 pub mod vocab;
+
+#[cfg(test)]
+mod schema_tests;
 
 pub use event::{
     AdmissionRecord, DecodeError, FaultKind, FaultRecord, FleetSampleRecord, ForecastRecord,

@@ -6,11 +6,7 @@ use std::fmt;
 
 use amoeba_sim::{SimDuration, SimTime};
 
-use crate::event::{
-    DecodeError, FaultRecord, FleetSampleRecord, ForecastRecord, HeartbeatRecord, Mode,
-    NodeUtilRecord, PlacementRecord, RecoveryRecord, ShardSpanRecord, StageSpanRecord, SwitchPhase,
-    SwitchRecord, TelemetryEvent, TickRecord, ViolationCause, ViolationRecord, WarmSampleRecord,
-};
+use crate::event::{DecodeError, Mode, SwitchPhase, TelemetryEvent, ViolationCause};
 
 /// An ordered, append-only stream of [`TelemetryEvent`]s for one run.
 #[derive(Debug, Clone, Default)]
@@ -154,110 +150,6 @@ impl Trace {
     /// True when no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Controller tick records, in order.
-    pub fn ticks(&self) -> impl Iterator<Item = &TickRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Tick(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Raw switch-protocol stage events, in order.
-    pub fn switch_events(&self) -> impl Iterator<Item = &SwitchRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Switch(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Monitor heartbeats, in order.
-    pub fn heartbeats(&self) -> impl Iterator<Item = &HeartbeatRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Heartbeat(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// QoS violation records, in order.
-    pub fn violations(&self) -> impl Iterator<Item = &ViolationRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Violation(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Warm serverless latency-breakdown samples, in order.
-    pub fn warm_samples(&self) -> impl Iterator<Item = &WarmSampleRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::WarmSample(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Proactive-controller forecasts, in order (Amoeba-Pro runs only).
-    pub fn forecasts(&self) -> impl Iterator<Item = &ForecastRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Forecast(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Injected-fault records, in order (chaos runs only).
-    pub fn faults(&self) -> impl Iterator<Item = &FaultRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Fault(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Recovery records, in order (chaos runs only).
-    pub fn recoveries(&self) -> impl Iterator<Item = &RecoveryRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Recovery(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Completed workflow stage spans, in order (workflow runs only).
-    pub fn stage_spans(&self) -> impl Iterator<Item = &StageSpanRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::StageSpan(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Node-placement records, in order (multi-node runs only).
-    pub fn placements(&self) -> impl Iterator<Item = &PlacementRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::Placement(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Fleet utilization snapshots, in order (multi-node runs only).
-    pub fn node_utils(&self) -> impl Iterator<Item = &NodeUtilRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::NodeUtil(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Per-shard per-epoch accounting spans, in order (fleet runs only).
-    pub fn shard_spans(&self) -> impl Iterator<Item = &ShardSpanRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::ShardSpan(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Fleet-wide epoch-boundary samples, in order (fleet runs only).
-    pub fn fleet_samples(&self) -> impl Iterator<Item = &FleetSampleRecord> {
-        self.events.iter().filter_map(|e| match e {
-            TelemetryEvent::FleetSample(r) => Some(r),
-            _ => None,
-        })
     }
 
     /// The run header, if one was recorded.
@@ -424,11 +316,18 @@ impl Trace {
     /// Serialise as JSON lines: one compact event object per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json().compact());
-            out.push('\n');
-        }
+        self.write_jsonl(&mut out)
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    /// Stream the JSON-lines form into `out`, one event at a time.
+    pub fn write_jsonl<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        for e in &self.events {
+            e.write_json(out)?;
+            out.write_str("\n")?;
+        }
+        Ok(())
     }
 
     /// Parse a JSON-lines dump produced by [`Trace::to_jsonl`]. Blank
@@ -454,7 +353,9 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ServiceInfo, TelemetryEvent};
+    use crate::event::{
+        ServiceInfo, StageSpanRecord, SwitchRecord, TelemetryEvent, ViolationRecord,
+    };
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)

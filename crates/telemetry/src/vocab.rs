@@ -1,170 +1,167 @@
 //! The closed vocabularies of the telemetry schema: small enums that
-//! name modes, decisions, causes and kinds, each with its stable
-//! string form and parser.
+//! name modes, decisions, causes and kinds. Each is declared once in
+//! `vocabulary!` below, with the stable string tag it travels as; the
+//! macro derives the parser and the JSON field codec.
 //!
-//! Split out of `event` to keep that module within the file-size
-//! budget; everything here is re-exported from `event`, so paths are
-//! unchanged.
+//! Everything here is re-exported from `event`, so paths are unchanged.
 
-use crate::event::DecodeError;
+use std::fmt;
 
-/// Deployment mode, mirrored from `amoeba-core` so the trace layer does
-/// not depend on the runtime it instruments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Dedicated VM group.
-    Iaas,
-    /// Shared serverless pool.
-    Serverless,
+use amoeba_json::Value;
+
+use crate::codec::{DecodeError, JsonField};
+
+/// Declare closed enums with one JSON string tag per variant.
+macro_rules! vocabulary {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $Name:ident ($what:literal) {
+            $( $(#[$vmeta:meta])* $Variant:ident = $tag:literal, )*
+        }
+    )*) => { $(
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Name {
+            $( $(#[$vmeta])* $Variant, )*
+        }
+
+        impl $Name {
+            /// Parse the variant's stable string tag.
+            pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
+                match s {
+                    $( $tag => Ok($Name::$Variant), )*
+                    _ => Err(DecodeError::new(format!(concat!("unknown ", $what, " '{}'"), s))),
+                }
+            }
+        }
+
+        impl JsonField for $Name {
+            #[inline]
+            fn write_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+                out.write_str(match self {
+                    $( $Name::$Variant => concat!("\"", $tag, "\""), )*
+                })
+            }
+
+            fn read_json(v: &Value, key: &str) -> Result<Self, DecodeError> {
+                $Name::from_tag(v.as_str().ok_or_else(|| DecodeError::missing("string", key))?)
+            }
+        }
+
+        #[cfg(test)]
+        impl crate::schema_tests::Arbitrary for $Name {
+            fn arbitrary(rng: &mut proptest::test_runner::TestRng) -> Self {
+                const ALL: &[$Name] = &[$($Name::$Variant),*];
+                ALL[rng.below(ALL.len() as u64) as usize]
+            }
+        }
+    )* };
 }
 
-impl Mode {
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            Mode::Iaas => "iaas",
-            Mode::Serverless => "serverless",
-        }
+vocabulary! {
+    /// Deployment mode, mirrored from `amoeba-core` so the trace layer
+    /// does not depend on the runtime it instruments.
+    pub enum Mode ("mode") {
+        /// Dedicated VM group.
+        Iaas = "iaas",
+        /// Shared serverless pool.
+        Serverless = "serverless",
     }
 
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "iaas" => Ok(Mode::Iaas),
-            "serverless" => Ok(Mode::Serverless),
-            _ => Err(DecodeError::new(format!("unknown mode '{s}'"))),
-        }
-    }
-}
-
-/// The controller's verdict, as traced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceDecision {
-    /// Keep the current mode.
-    Stay,
-    /// Begin the switch to serverless.
-    SwitchToServerless,
-    /// Begin the switch to IaaS.
-    SwitchToIaas,
-}
-
-impl TraceDecision {
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            TraceDecision::Stay => "stay",
-            TraceDecision::SwitchToServerless => "switch_to_serverless",
-            TraceDecision::SwitchToIaas => "switch_to_iaas",
-        }
+    /// The controller's verdict, as traced.
+    pub enum TraceDecision ("decision") {
+        /// Keep the current mode.
+        Stay = "stay",
+        /// Begin the switch to serverless.
+        SwitchToServerless = "switch_to_serverless",
+        /// Begin the switch to IaaS.
+        SwitchToIaas = "switch_to_iaas",
     }
 
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "stay" => Ok(TraceDecision::Stay),
-            "switch_to_serverless" => Ok(TraceDecision::SwitchToServerless),
-            "switch_to_iaas" => Ok(TraceDecision::SwitchToIaas),
-            _ => Err(DecodeError::new(format!("unknown decision '{s}'"))),
-        }
-    }
-}
-
-/// Why the controller decided what it decided at one tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TickReason {
-    /// A switch is already in flight; the controller was not consulted.
-    InTransition,
-    /// `min_dwell` since the last switch has not elapsed.
-    DwellPending,
-    /// IaaS-resident, `V_u < down_margin · λ(μ)` and the impact check
-    /// passed: switch down.
-    LoadBelowDownMargin,
-    /// IaaS-resident, load too high for the pool: stay.
-    LoadAboveDownMargin,
-    /// IaaS-resident, load admissible but the §III impact check vetoed
-    /// the move.
-    ImpactVetoed,
-    /// Serverless-resident, `V_u > up_margin · λ(μ)`: switch up.
-    LoadAboveUpMargin,
-    /// Serverless-resident, load admissible: stay.
-    LoadBelowUpMargin,
-}
-
-impl TickReason {
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            TickReason::InTransition => "in_transition",
-            TickReason::DwellPending => "dwell_pending",
-            TickReason::LoadBelowDownMargin => "load_below_down_margin",
-            TickReason::LoadAboveDownMargin => "load_above_down_margin",
-            TickReason::ImpactVetoed => "impact_vetoed",
-            TickReason::LoadAboveUpMargin => "load_above_up_margin",
-            TickReason::LoadBelowUpMargin => "load_below_up_margin",
-        }
+    /// Why the controller decided what it decided at one tick.
+    pub enum TickReason ("reason") {
+        /// A switch is already in flight; the controller was not consulted.
+        InTransition = "in_transition",
+        /// `min_dwell` since the last switch has not elapsed.
+        DwellPending = "dwell_pending",
+        /// IaaS-resident, `V_u < down_margin · λ(μ)` and the impact check
+        /// passed: switch down.
+        LoadBelowDownMargin = "load_below_down_margin",
+        /// IaaS-resident, load too high for the pool: stay.
+        LoadAboveDownMargin = "load_above_down_margin",
+        /// IaaS-resident, load admissible but the §III impact check vetoed
+        /// the move.
+        ImpactVetoed = "impact_vetoed",
+        /// Serverless-resident, `V_u > up_margin · λ(μ)`: switch up.
+        LoadAboveUpMargin = "load_above_up_margin",
+        /// Serverless-resident, load admissible: stay.
+        LoadBelowUpMargin = "load_below_up_margin",
     }
 
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "in_transition" => Ok(TickReason::InTransition),
-            "dwell_pending" => Ok(TickReason::DwellPending),
-            "load_below_down_margin" => Ok(TickReason::LoadBelowDownMargin),
-            "load_above_down_margin" => Ok(TickReason::LoadAboveDownMargin),
-            "impact_vetoed" => Ok(TickReason::ImpactVetoed),
-            "load_above_up_margin" => Ok(TickReason::LoadAboveUpMargin),
-            "load_below_up_margin" => Ok(TickReason::LoadBelowUpMargin),
-            _ => Err(DecodeError::new(format!("unknown reason '{s}'"))),
-        }
-    }
-}
-
-/// One step of the §V switch protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchPhase {
-    /// The controller committed to a switch; the prepare signal `S_pw`
-    /// (prewarm containers / boot VMs) was issued.
-    Requested,
-    /// The target side acknowledged readiness.
-    Ack,
-    /// The router flipped: new queries go to the target side.
-    Flip,
-    /// The shutdown signal `S_sd` was sent to the old side.
-    ReleaseIssued,
-    /// The old side's VM group finished draining in-flight queries.
-    Drained,
-    /// The transition was aborted before the ack.
-    Aborted,
-}
-
-impl SwitchPhase {
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            SwitchPhase::Requested => "requested",
-            SwitchPhase::Ack => "ack",
-            SwitchPhase::Flip => "flip",
-            SwitchPhase::ReleaseIssued => "release_issued",
-            SwitchPhase::Drained => "drained",
-            SwitchPhase::Aborted => "aborted",
-        }
+    /// One step of the §V switch protocol.
+    pub enum SwitchPhase ("phase") {
+        /// The controller committed to a switch; the prepare signal `S_pw`
+        /// (prewarm containers / boot VMs) was issued.
+        Requested = "requested",
+        /// The target side acknowledged readiness.
+        Ack = "ack",
+        /// The router flipped: new queries go to the target side.
+        Flip = "flip",
+        /// The shutdown signal `S_sd` was sent to the old side.
+        ReleaseIssued = "release_issued",
+        /// The old side's VM group finished draining in-flight queries.
+        Drained = "drained",
+        /// The transition was aborted before the ack.
+        Aborted = "aborted",
     }
 
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "requested" => Ok(SwitchPhase::Requested),
-            "ack" => Ok(SwitchPhase::Ack),
-            "flip" => Ok(SwitchPhase::Flip),
-            "release_issued" => Ok(SwitchPhase::ReleaseIssued),
-            "drained" => Ok(SwitchPhase::Drained),
-            "aborted" => Ok(SwitchPhase::Aborted),
-            _ => Err(DecodeError::new(format!("unknown phase '{s}'"))),
-        }
+    /// What pushed a query over its QoS target.
+    pub enum ViolationCause ("cause") {
+        /// The query paid a container cold start.
+        ColdStart = "cold_start",
+        /// The query waited in the platform queue.
+        Queueing = "queueing",
+        /// Neither: the execution itself was slowed by co-tenant contention.
+        Contention = "contention",
     }
-}
 
-/// What pushed a query over its QoS target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolationCause {
-    /// The query paid a container cold start.
-    ColdStart,
-    /// The query waited in the platform queue.
-    Queueing,
-    /// Neither: the execution itself was slowed by co-tenant contention.
-    Contention,
+    /// The class of an injected (or injector-induced) fault.
+    pub enum FaultKind ("fault kind") {
+        /// A serverless container died; in-flight work was displaced.
+        ContainerCrash = "container_crash",
+        /// A VM boot failed and the group re-booted from scratch.
+        VmBootFailure = "vm_boot_failure",
+        /// A VM boot straggled past its nominal boot time.
+        VmSlowBoot = "vm_slow_boot",
+        /// A prewarm ack was lost between platform and engine.
+        AckDropped = "ack_dropped",
+        /// The engine's ack deadline expired for an in-flight switch.
+        AckTimeout = "ack_timeout",
+        /// An IaaS drain overran its deadline and was forced.
+        DrainTimeout = "drain_timeout",
+        /// A meter blackout window began: observations discarded.
+        MeterOutage = "meter_outage",
+        /// One meter latency sample was corrupted by a large factor.
+        MeterOutlier = "meter_outlier",
+        /// A transient co-tenant pressure spike hit the shared pool.
+        PressureSpike = "pressure_spike",
+    }
+
+    /// How the system got back on its feet after a fault.
+    pub enum RecoveryKind ("recovery kind") {
+        /// A crash-displaced query was re-queued and completed.
+        RequeuedQueryCompleted = "requeued_query_completed",
+        /// A VM group finished booting after at least one failed attempt.
+        VmBootSucceeded = "vm_boot_succeeded",
+        /// A prewarm ack landed after at least one deadline retry.
+        AckReceived = "ack_received",
+        /// An un-ackable switch was rolled back; the old platform kept
+        /// serving throughout.
+        SwitchRolledBack = "switch_rolled_back",
+        /// An overdue IaaS drain was forced; stragglers were re-queued on
+        /// the serverless side.
+        DrainForced = "drain_forced",
+    }
 }
 
 impl ViolationCause {
@@ -178,117 +175,6 @@ impl ViolationCause {
             ViolationCause::Queueing
         } else {
             ViolationCause::Contention
-        }
-    }
-
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            ViolationCause::ColdStart => "cold_start",
-            ViolationCause::Queueing => "queueing",
-            ViolationCause::Contention => "contention",
-        }
-    }
-
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "cold_start" => Ok(ViolationCause::ColdStart),
-            "queueing" => Ok(ViolationCause::Queueing),
-            "contention" => Ok(ViolationCause::Contention),
-            _ => Err(DecodeError::new(format!("unknown cause '{s}'"))),
-        }
-    }
-}
-
-/// The class of an injected (or injector-induced) fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A serverless container died; in-flight work was displaced.
-    ContainerCrash,
-    /// A VM boot failed and the group re-booted from scratch.
-    VmBootFailure,
-    /// A VM boot straggled past its nominal boot time.
-    VmSlowBoot,
-    /// A prewarm ack was lost between platform and engine.
-    AckDropped,
-    /// The engine's ack deadline expired for an in-flight switch.
-    AckTimeout,
-    /// An IaaS drain overran its deadline and was forced.
-    DrainTimeout,
-    /// A meter blackout window began: observations discarded.
-    MeterOutage,
-    /// One meter latency sample was corrupted by a large factor.
-    MeterOutlier,
-    /// A transient co-tenant pressure spike hit the shared pool.
-    PressureSpike,
-}
-
-impl FaultKind {
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            FaultKind::ContainerCrash => "container_crash",
-            FaultKind::VmBootFailure => "vm_boot_failure",
-            FaultKind::VmSlowBoot => "vm_slow_boot",
-            FaultKind::AckDropped => "ack_dropped",
-            FaultKind::AckTimeout => "ack_timeout",
-            FaultKind::DrainTimeout => "drain_timeout",
-            FaultKind::MeterOutage => "meter_outage",
-            FaultKind::MeterOutlier => "meter_outlier",
-            FaultKind::PressureSpike => "pressure_spike",
-        }
-    }
-
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "container_crash" => Ok(FaultKind::ContainerCrash),
-            "vm_boot_failure" => Ok(FaultKind::VmBootFailure),
-            "vm_slow_boot" => Ok(FaultKind::VmSlowBoot),
-            "ack_dropped" => Ok(FaultKind::AckDropped),
-            "ack_timeout" => Ok(FaultKind::AckTimeout),
-            "drain_timeout" => Ok(FaultKind::DrainTimeout),
-            "meter_outage" => Ok(FaultKind::MeterOutage),
-            "meter_outlier" => Ok(FaultKind::MeterOutlier),
-            "pressure_spike" => Ok(FaultKind::PressureSpike),
-            _ => Err(DecodeError::new(format!("unknown fault kind '{s}'"))),
-        }
-    }
-}
-
-/// How the system got back on its feet after a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryKind {
-    /// A crash-displaced query was re-queued and completed.
-    RequeuedQueryCompleted,
-    /// A VM group finished booting after at least one failed attempt.
-    VmBootSucceeded,
-    /// A prewarm ack landed after at least one deadline retry.
-    AckReceived,
-    /// An un-ackable switch was rolled back; the old platform kept
-    /// serving throughout.
-    SwitchRolledBack,
-    /// An overdue IaaS drain was forced; stragglers were re-queued on
-    /// the serverless side.
-    DrainForced,
-}
-
-impl RecoveryKind {
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            RecoveryKind::RequeuedQueryCompleted => "requeued_query_completed",
-            RecoveryKind::VmBootSucceeded => "vm_boot_succeeded",
-            RecoveryKind::AckReceived => "ack_received",
-            RecoveryKind::SwitchRolledBack => "switch_rolled_back",
-            RecoveryKind::DrainForced => "drain_forced",
-        }
-    }
-
-    pub(crate) fn from_tag(s: &str) -> Result<Self, DecodeError> {
-        match s {
-            "requeued_query_completed" => Ok(RecoveryKind::RequeuedQueryCompleted),
-            "vm_boot_succeeded" => Ok(RecoveryKind::VmBootSucceeded),
-            "ack_received" => Ok(RecoveryKind::AckReceived),
-            "switch_rolled_back" => Ok(RecoveryKind::SwitchRolledBack),
-            "drain_forced" => Ok(RecoveryKind::DrainForced),
-            _ => Err(DecodeError::new(format!("unknown recovery kind '{s}'"))),
         }
     }
 }

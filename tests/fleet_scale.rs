@@ -29,10 +29,19 @@ fn mid_fleet() -> FleetSpec {
         .peak_floor(0.5)
 }
 
+/// The mid fleet's digest at seed 31. Pinning it makes any change to
+/// the telemetry bytes a fleet emits — encoder or simulation — fail
+/// here on every run, not only in the full-scale acceptance test.
+const MID_FLEET_DIGEST: u64 = 0xb8f2_4f20_f0e3_b744;
+
 #[test]
 fn mid_fleet_digest_identical_across_threads() {
     let base = mid_fleet().build().run(1);
-    assert!(base.digest != 0, "digest never folded any events");
+    assert_eq!(
+        base.digest, MID_FLEET_DIGEST,
+        "mid-fleet digest {:#018x} changed",
+        base.digest
+    );
     assert!(base.totals.submitted > 0, "fleet carried no load");
     assert!(base.epochs > 1, "exchange never ran");
     for threads in [2usize, 4] {

@@ -18,8 +18,9 @@
 //! and review the fixture diff like any other code change.
 
 use amoeba::core::{Experiment, ServiceSetup, SystemVariant};
-use amoeba::fleet::FleetRun;
+use amoeba::fleet::{DigestSink, FleetRun};
 use amoeba::sim::SimDuration;
+use amoeba::telemetry::{TelemetrySink, Trace};
 use amoeba::workload::{benchmarks, DiurnalPattern, LoadTrace};
 use amoeba_chaos::FaultPlan;
 use std::path::PathBuf;
@@ -239,4 +240,31 @@ fn traced_equals_untraced() {
     }
     assert_eq!(traced.cold_starts, bare.cold_starts);
     assert_eq!(traced.final_weights, bare.final_weights);
+}
+
+/// The fixtures are also the telemetry codec's spec, independent of
+/// the simulator: every committed trace decodes, re-encodes to the same
+/// bytes, and streams into the fleet digest exactly as its text hashes.
+#[test]
+fn fixtures_round_trip_through_the_codec_and_the_digest() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("fixture directory") {
+        let path = entry.expect("fixture entry").path();
+        if path.extension().is_none_or(|e| e != "jsonl") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("fixture text");
+        let trace = Trace::from_jsonl(&text).expect("fixture decodes");
+        assert_eq!(trace.to_jsonl(), text, "{} re-encodes", path.display());
+        let mut sink = DigestSink::new();
+        for e in trace.events() {
+            sink.record(e.clone());
+        }
+        let want = DigestSink::of_jsonl(&text);
+        assert_eq!(sink.digest(), want, "{} streamed digest", path.display());
+        assert_eq!(DigestSink::of_trace(&trace), want, "{}", path.display());
+        checked += 1;
+    }
+    assert!(checked >= 14, "only {checked} fixtures found");
 }
