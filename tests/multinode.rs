@@ -1,0 +1,94 @@
+//! Multi-node integration tests: pinned totals of a fault-heavy
+//! 4-node DAG run, so a change to multi-node behaviour fails here and
+//! not only in the benchmark's fingerprint.
+
+use amoeba::bench::{standard_scenario, workflow::media_pipeline};
+use amoeba::chaos::FaultPlan;
+use amoeba::core::runtime::{MultiNodeSummary, NodeTotals};
+use amoeba::core::{Experiment, MonitorConfig, RunResult, SystemVariant, WorkflowSetup};
+use amoeba::platform::Scheduler;
+use amoeba::sim::SimDuration;
+use amoeba::workload::{benchmarks, DiurnalPattern, LoadTrace};
+
+/// The benchmark's `chaos_dag` shape on a short day: float plus three
+/// background services, the 4-stage media DAG, a 4-node fabric (scales
+/// 1 / 0.75 / 0.75 / 0.5, 40 ms RTT) under Amoeba-per-node, a median-3
+/// monitor and `FaultPlan::mixed()` at 3× without VM boot faults.
+fn chaos_dag_run(day_s: f64, seed: u64) -> RunResult {
+    let dag = media_pipeline();
+    let trace = LoadTrace::new(DiurnalPattern::didi(), dag.peak_qps(), day_s);
+    let plan = FaultPlan {
+        vm_boot_failure_prob: 0.0,
+        vm_slow_boot_prob: 0.0,
+        ..FaultPlan::mixed().scaled(3.0)
+    };
+    Experiment::builder(
+        SystemVariant::Amoeba,
+        SimDuration::from_secs_f64(day_s),
+        seed,
+    )
+    .services(standard_scenario(benchmarks::float(), day_s))
+    .workflow(WorkflowSetup { spec: dag, trace })
+    .nodes(4)
+    .node_capacity(1, 0.75)
+    .node_capacity(2, 0.75)
+    .node_capacity(3, 0.5)
+    .inter_node_latency(SimDuration::from_secs_f64(0.04))
+    .scheduler(Scheduler::AmoebaPerNode)
+    .fault_plan(plan)
+    .monitor_cfg(MonitorConfig {
+        median_window: 3,
+        ..MonitorConfig::default()
+    })
+    .build()
+    .run()
+}
+
+fn node(submitted: u64, completed: u64, failed: u64, spills: u64) -> NodeTotals {
+    NodeTotals {
+        submitted,
+        completed,
+        failed,
+        spills,
+    }
+}
+
+/// Values captured before the node model was unified. Multi-node
+/// runs may reorder events that fire at the same simulated instant, but
+/// these totals must not move; a deliberate behaviour change re-pins
+/// them and says why.
+#[test]
+fn chaos_dag_totals_are_pinned() {
+    let r = chaos_dag_run(480.0, 40_000);
+    assert_eq!(
+        r.multinode,
+        Some(MultiNodeSummary {
+            nodes: vec![
+                node(53_384, 53_382, 2, 0),
+                node(25_041, 25_041, 0, 0),
+                node(20_059, 20_059, 0, 0),
+                node(20_764, 20_764, 0, 0),
+            ],
+            spill_total: 0,
+        })
+    );
+    assert_eq!(r.cold_starts, 450);
+    let services: Vec<(&str, usize, usize, usize)> = r
+        .services
+        .iter()
+        .map(|s| (s.name.as_str(), s.submitted, s.completed, s.failed))
+        .collect();
+    assert_eq!(
+        services,
+        [
+            ("float", 34_867, 34_866, 1),
+            ("bg_float", 7_072, 7_072, 0),
+            ("bg_dd", 2_181, 2_181, 0),
+            ("bg_cloud_stor", 2_869, 2_869, 0),
+            ("media.ingest", 17_526, 17_525, 1),
+            ("media.transform_a", 17_525, 17_525, 0),
+            ("media.transform_b", 17_525, 17_525, 0),
+            ("media.merge", 17_526, 17_526, 0),
+        ]
+    );
+}
