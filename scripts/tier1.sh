@@ -37,6 +37,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --quiet \
 echo "== cargo test --workspace =="
 cargo test --locked --workspace -q
 
+# The benchmark is its own package (benchmark/, with an empty
+# [workspace]) built on the crates' public API, so the workspace build
+# above never compiles it. Build it and run its smoke tests here, so an
+# API break fails this gate and not the benchmark run. No --locked: the
+# benchmark's lock file is gitignored (it pins only path crates).
+echo "== benchmark package smoke tests =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 # Exercise the multi-node, workflow, multi-tenant and fleet report
 # paths end to end (short day, small fleet, one seed); the release
 # binary is already built above.
