@@ -7,8 +7,8 @@
 //!
 //! Known ids: table2 table3 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12
 //! fig13 fig14 fig15 fig16 overhead ablation-slowdown cost multi-tenant
-//! ablation-prewarm ablation-percentile week ablation-placement trace
-//! forecast resilience multinode workflow multitenant fleet.
+//! ablation-prewarm ablation-percentile week trace forecast resilience
+//! multinode workflow multitenant fleet.
 //!
 //! `--smoke` shrinks the simulated day and seed sweep (currently the
 //! `multinode`, `workflow`, `multitenant` and `fleet` reports) so CI
@@ -44,7 +44,6 @@ fn by_id(id: &str, smoke: bool) -> Option<Report> {
         "ablation-prewarm" => extensions::ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED),
         "ablation-percentile" => extensions::ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED),
         "week" => extensions::week(DEFAULT_DAY_S, DEFAULT_SEED),
-        "ablation-placement" => extensions::ablation_placement(DEFAULT_SEED),
         "trace" => extensions::trace_summary(DEFAULT_DAY_S, DEFAULT_SEED),
         "forecast" => forecast::forecast(DEFAULT_DAY_S, DEFAULT_SEED),
         "resilience" => resilience::resilience(DEFAULT_DAY_S, DEFAULT_SEED),
@@ -110,7 +109,6 @@ const GROUPS: &[(&str, &[&str])] = &[
             "ablation-prewarm",
             "ablation-percentile",
             "week",
-            "ablation-placement",
             "trace",
             "forecast",
             "resilience",

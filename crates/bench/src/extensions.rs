@@ -354,143 +354,6 @@ pub fn week(day_s: f64, seed: u64) -> Report {
     r
 }
 
-/// Placement-policy ablation on the multi-node pool: the same mixed
-/// workload over a 4-node fleet under round-robin, least-loaded and
-/// warm-affinity placement. Contention is per node, so placement moves
-/// both the tail latency and the cold-start count.
-pub fn ablation_placement(seed: u64) -> Report {
-    use amoeba_platform::{
-        ClusterEvent, Effect, MultiNodePool, NodeId, Placement, Query, QueryId, TopologyConfig,
-    };
-    use amoeba_sim::{EventQueue, SimRng, SimTime};
-    let mut r = Report::new(
-        "ablation-placement",
-        "Multi-node placement policies: p95 latency and cold starts (4 nodes)",
-    );
-    let w = [14, 12, 12, 12];
-    r.line(row(
-        &[
-            "policy".into(),
-            "p95 dd s".into(),
-            "p95 float".into(),
-            "cold".into(),
-        ],
-        &w,
-    ));
-    let mut out = Vec::new();
-    for (name, policy) in [
-        ("round-robin", Placement::RoundRobin),
-        ("least-loaded", Placement::LeastLoaded),
-        ("warm-affinity", Placement::WarmAffinity),
-    ] {
-        let mut pool = MultiNodePool::from_topology(
-            &TopologyConfig {
-                node_scales: vec![1.0; 4],
-                rtt_s: 0.0,
-            },
-            amoeba_platform::ServerlessConfig::default(),
-            policy,
-        );
-        let dd = pool.register(amoeba_workload::benchmarks::dd());
-        let fl = pool.register(amoeba_workload::benchmarks::float());
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut queue: EventQueue<ClusterEvent> = EventQueue::new();
-        let mut rec_dd = amoeba_metrics::LatencyRecorder::new();
-        let mut rec_fl = amoeba_metrics::LatencyRecorder::new();
-        // 120s of mixed steady traffic: dd at 30 qps, float at 60 qps.
-        let _horizon = SimTime::from_secs(120);
-        let mut arrivals: Vec<(SimTime, amoeba_platform::ServiceId, u64)> = Vec::new();
-        let push_stream = |sid, qps: f64, base: u64, arrivals: &mut Vec<_>| {
-            let gap_us = (1e6 / qps) as u64;
-            let mut t = 0u64;
-            let mut id = base;
-            while t < 120_000_000 {
-                arrivals.push((SimTime::from_micros(t), sid, id));
-                id += 1;
-                t += gap_us;
-            }
-        };
-        push_stream(dd, 30.0, 0, &mut arrivals);
-        push_stream(fl, 60.0, 1 << 32, &mut arrivals);
-        arrivals.sort_by_key(|&(t, _, id)| (t, id));
-        let mut next = 0usize;
-        loop {
-            let ev_t = queue.peek_time();
-            let ar_t = arrivals.get(next).map(|&(t, _, _)| t);
-            let take_event = match (ev_t, ar_t) {
-                (None, None) => break,
-                (Some(e), Some(a)) => e <= a,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            let effects = if take_event {
-                let ev = queue.pop().unwrap();
-                pool.handle(ev.payload, ev.time, &mut rng)
-                    .into_iter()
-                    .map(|e| (ev.time, e))
-                    .collect::<Vec<_>>()
-            } else {
-                let (t, sid, id) = arrivals[next];
-                next += 1;
-                pool.submit(
-                    Query {
-                        id: QueryId(id),
-                        service: sid,
-                        submitted: t,
-                    },
-                    t,
-                    &mut rng,
-                )
-                .into_iter()
-                .map(|e| (t, e))
-                .collect::<Vec<_>>()
-            };
-            for (now, e) in effects {
-                match e {
-                    Effect::Schedule { after, event } => {
-                        queue.push(now + after, event);
-                    }
-                    Effect::Completed(o)
-                        // Skip the warmup third of the run.
-                        if o.query.submitted >= SimTime::from_secs(40) => {
-                            if o.query.service == dd {
-                                rec_dd.record(o.latency());
-                            } else {
-                                rec_fl.record(o.latency());
-                            }
-                        }
-                    _ => {}
-                }
-            }
-        }
-        let p95_dd = rec_dd
-            .quantile(0.95)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0);
-        let p95_fl = rec_fl
-            .quantile(0.95)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0);
-        let cold: u64 = (0..pool.node_count())
-            .map(|i| pool.node(NodeId::new(i)).cold_start_count())
-            .sum();
-        r.line(row(
-            &[
-                name.into(),
-                format!("{p95_dd:.3}"),
-                format!("{p95_fl:.3}"),
-                format!("{cold}"),
-            ],
-            &w,
-        ));
-        out.push(json!({
-            "policy": name, "p95_dd": p95_dd, "p95_float": p95_fl, "cold_starts": cold,
-        }));
-    }
-    r.json = json!(out);
-    r
-}
-
 /// One traced Amoeba run summarised from the telemetry stream alone —
 /// switch count, time-in-mode, and violation attribution all come from
 /// [`amoeba_telemetry::Trace::summary`], nothing from the `RunResult`.
@@ -537,7 +400,6 @@ pub fn all() -> Vec<Report> {
         ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED),
         ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED),
         week(DEFAULT_DAY_S, DEFAULT_SEED),
-        ablation_placement(DEFAULT_SEED),
         trace_summary(DEFAULT_DAY_S, DEFAULT_SEED),
     ]
 }
@@ -591,24 +453,6 @@ mod tests {
         // but must not be cheaper than Eq. 7.
         let cpu4 = rows[4]["cpu_vs_eq7"].as_f64().unwrap();
         assert!(cpu4 >= 0.99, "over-prewarming can't be cheaper: {rows:?}");
-    }
-
-    #[test]
-    fn placement_policies_differ_meaningfully() {
-        let r = ablation_placement(5);
-        let rows = r.json.as_array().unwrap();
-        assert_eq!(rows.len(), 3);
-        // Warm affinity minimises cold starts.
-        let cold = |i: usize| rows[i]["cold_starts"].as_u64().unwrap();
-        assert!(
-            cold(2) <= cold(0) && cold(2) <= cold(1),
-            "warm-affinity should cold-start least: {rows:?}"
-        );
-        // Everything completes with finite percentiles.
-        for row in rows {
-            assert!(row["p95_dd"].as_f64().unwrap() > 0.0);
-            assert!(row["p95_float"].as_f64().unwrap() > 0.0);
-        }
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub enum RouteTarget {
 /// What the engine asks the runtime to do on the cluster. Every action
 /// names a [`TargetId`] — node × mode — rather than implying one of two
 /// platforms, so the same protocol drives a single node or a
-/// geo-distributed fleet.
+/// geo-distributed fleet. The runtime applies each action to the node
+/// the target names; a real deployment would apply it through per-site
+/// OpenWhisk/IaaS control APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineAction {
     /// Ready the target for traffic (`S_pw`): warm `count` containers
@@ -64,77 +66,6 @@ pub enum EngineAction {
         /// Where to release.
         target: TargetId,
     },
-}
-
-/// The placement-target effectors [`EngineAction`]s dispatch onto. The
-/// runtime implements this over its simulated cluster; a real
-/// deployment would implement it over per-site OpenWhisk/IaaS control
-/// APIs.
-pub trait PlatformCommands {
-    /// Ready `target` for `service`'s traffic (`S_pw`); the platform
-    /// must eventually ack with a `PrewarmReady`/`VmGroupReady`-style
-    /// effect. `count` is the container count for serverless targets.
-    fn prepare(&mut self, service: ServiceId, target: TargetId, count: u32, now: SimTime);
-    /// Stand `target` down for `service` (`S_sd`).
-    fn release(&mut self, service: ServiceId, target: TargetId, now: SimTime);
-}
-
-/// The legacy two-platform effector surface: one serverless pool and
-/// one IaaS fleet, no placement. Kept as the implementation surface of
-/// single-node runtimes; [`Legacy`] lifts it onto the target API.
-pub trait TwoPlatformCommands {
-    /// Warm `count` containers for the service (`S_pw`); the platform
-    /// must eventually ack with a `PrewarmReady`-style effect.
-    fn prewarm(&mut self, service: ServiceId, count: u32, now: SimTime);
-    /// Boot the service's VM group; acks with `VmGroupReady`.
-    fn activate_vms(&mut self, service: ServiceId, now: SimTime);
-    /// Release the service's serverless containers (`S_sd`).
-    fn release_containers(&mut self, service: ServiceId, now: SimTime);
-    /// Drain and deallocate the service's VM group (`S_sd`).
-    fn release_vms(&mut self, service: ServiceId, now: SimTime);
-}
-
-/// Adapter lifting a [`TwoPlatformCommands`] implementation onto the
-/// placement-target API: every target must live on node 0, and the two
-/// modes map onto the legacy four-signal surface. This is what keeps
-/// every pre-existing single-node variant byte-identical under the
-/// redesigned engine.
-pub struct Legacy<T: TwoPlatformCommands>(pub T);
-
-impl<T: TwoPlatformCommands> PlatformCommands for Legacy<T> {
-    fn prepare(&mut self, service: ServiceId, target: TargetId, count: u32, now: SimTime) {
-        debug_assert_eq!(target.node, NodeId::ZERO, "legacy adapter is single-node");
-        match target.mode {
-            TargetMode::Serverless => self.0.prewarm(service, count, now),
-            TargetMode::Iaas => self.0.activate_vms(service, now),
-        }
-    }
-
-    fn release(&mut self, service: ServiceId, target: TargetId, now: SimTime) {
-        debug_assert_eq!(target.node, NodeId::ZERO, "legacy adapter is single-node");
-        match target.mode {
-            TargetMode::Serverless => self.0.release_containers(service, now),
-            TargetMode::Iaas => self.0.release_vms(service, now),
-        }
-    }
-}
-
-/// Dispatch a batch of engine actions onto the placement effectors.
-pub fn dispatch_actions(
-    actions: Vec<EngineAction>,
-    now: SimTime,
-    platform: &mut dyn PlatformCommands,
-) {
-    for a in actions {
-        match a {
-            EngineAction::Prepare {
-                service,
-                target,
-                count,
-            } => platform.prepare(service, target, count, now),
-            EngineAction::Release { service, target } => platform.release(service, target, now),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,7 +121,7 @@ pub enum DeadlineAction {
 pub struct HybridEngine {
     routes: Vec<ServiceRoute>,
     /// Home node per service: where the switch protocol's targets
-    /// live. All zero in single-node (legacy) runs.
+    /// live. All zero on a single node.
     home: Vec<NodeId>,
     /// Skip prewarming (Amoeba-NoP).
     prewarm_enabled: bool,
@@ -568,7 +499,7 @@ mod tests {
     use amoeba_telemetry::{MemorySink, Mode, NoopSink};
 
     const S: ServiceId = ServiceId(0);
-    /// Node-0 targets: what the legacy single-node protocol names.
+    /// Node-0 targets: what the protocol names on a single node.
     const SLS: TargetId = TargetId {
         node: NodeId::ZERO,
         mode: TargetMode::Serverless,

@@ -28,13 +28,8 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
         controller,
         monitor,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
+        cluster,
         queue,
-        fabric,
         chaos,
         workflow,
         meter_ids,
@@ -72,23 +67,8 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
                 let idx = outcome.query.service.raw() as usize;
                 if let Some((w, s)) = wrt.stage_of(idx) {
                     super::workflow::on_stage_complete(
-                        wrt,
-                        w,
-                        s,
-                        &outcome,
-                        now,
-                        services,
-                        controller,
-                        engine,
-                        serverless,
-                        iaas,
-                        platform_rng,
-                        iaas_rng,
-                        bus,
-                        queue,
-                        fabric,
-                        *warmup_t,
-                        sink,
+                        wrt, w, s, &outcome, now, services, controller, engine, cluster, queue,
+                        *warmup_t, sink,
                     );
                 }
             }

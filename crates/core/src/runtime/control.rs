@@ -9,12 +9,13 @@
 //! jitter-deferred [`on_service_decision`] handler that fires each
 //! service's decision at its own offset past the shared tick.
 
+use super::fabric::fleet_utilization;
 use super::switching::{apply_engine_actions, DRAIN_TIMEOUT_S};
 use super::tenancy::PRESSURE_CAP;
 use super::{record_forecast, Ev, Experiment, SimWorld};
 use crate::controller::{prewarm_count, Decision, DeployMode};
 use crate::engine::{DeadlineAction, RouteTarget};
-use amoeba_platform::{Effect, NodeId, Query, QueryId};
+use amoeba_platform::{NodeId, Query, QueryId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     FaultKind, FaultRecord, NodeUtilRecord, RecoveryKind, RecoveryRecord, TelemetryEvent,
@@ -30,7 +31,7 @@ use amoeba_telemetry::{
 pub(crate) fn effective_pressures(world: &SimWorld) -> [f64; 3] {
     let base = match world.tenancy.as_ref() {
         Some(t) if t.endogenous => {
-            let u = world.serverless.utilization();
+            let u = world.cluster.nodes[0].serverless.utilization();
             [
                 u[0].min(PRESSURE_CAP),
                 u[1].min(PRESSURE_CAP),
@@ -52,38 +53,24 @@ pub(crate) fn effective_pressures(world: &SimWorld) -> [f64; 3] {
 }
 
 /// Current serverless co-tenants with their estimated loads — the
-/// cross-service term of Eq. 5's contention model.
-fn co_tenant_loads(world: &SimWorld, now: SimTime) -> Vec<(usize, f64)> {
+/// cross-service term of Eq. 5's contention model — grouped by home
+/// node: co-tenancy is per pool, so only services sharing a home node
+/// contend for the same serverless capacity.
+fn co_tenant_loads(world: &SimWorld, now: SimTime) -> Vec<Vec<(usize, f64)>> {
     let SimWorld {
         services,
         controller,
         engine,
+        cluster,
         ..
     } = world;
-    (0..services.len())
-        .filter(|&j| {
-            services[j].background || engine.mode(services[j].sid) == DeployMode::Serverless
-        })
-        .map(|j| (j, controller.estimated_load(j, now)))
-        .collect()
-}
-
-/// Co-tenancy is per pool: with a fabric, only services sharing a home
-/// node contend for the same serverless capacity.
-fn filter_by_home<'a>(
-    others: &'a [(usize, f64)],
-    homes: &Option<Vec<NodeId>>,
-    idx: usize,
-    scratch: &'a mut Vec<(usize, f64)>,
-) -> &'a [(usize, f64)] {
-    match homes {
-        Some(h) => {
-            scratch.clear();
-            scratch.extend(others.iter().copied().filter(|&(j, _)| h[j] == h[idx]));
-            scratch
+    let mut by_node = vec![Vec::new(); cluster.nodes.len()];
+    for (j, svc) in services.iter().enumerate() {
+        if svc.background || engine.mode(svc.sid) == DeployMode::Serverless {
+            by_node[engine.home(svc.sid).index()].push((j, controller.estimated_load(j, now)));
         }
-        None => others,
     }
+    by_node
 }
 
 /// One control period elapsed: reclaim overdue drains, snapshot the
@@ -105,15 +92,13 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
     let weights = world.monitor.weights();
     // Fleet utilization snapshot (multi-node runs only; single-node
     // traces keep their legacy event stream byte-identical).
-    if sink.enabled() {
-        if let Some(f) = world.fabric.as_ref() {
-            let (mean_util, max_node_util) = f.fleet_utilization(&world.serverless);
-            sink.record(TelemetryEvent::NodeUtil(NodeUtilRecord {
-                t: now,
-                mean_util,
-                max_node_util,
-            }));
-        }
+    if sink.enabled() && world.cluster.nodes.len() > 1 {
+        let (mean_util, max_node_util) = fleet_utilization(&world.cluster.nodes);
+        sink.record(TelemetryEvent::NodeUtil(NodeUtilRecord {
+            t: now,
+            mean_util,
+            max_node_util,
+        }));
     }
     if exp.variant.switches() {
         {
@@ -152,8 +137,6 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
             }
         }
         let others = co_tenant_loads(world, now);
-        let homes: Option<Vec<NodeId>> = world.fabric.as_ref().map(|f| f.home.clone());
-        let mut scratch = Vec::new();
         for idx in 0..world.services.len() {
             if world.services[idx].pinned {
                 continue;
@@ -168,7 +151,7 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
                 }
                 continue;
             }
-            let local = filter_by_home(&others, &homes, idx, &mut scratch);
+            let local = &others[world.engine.home(world.services[idx].sid).index()];
             decide_service(exp, world, idx, now, pressures, weights, local, sink);
         }
         shadow_probes(exp, world, now);
@@ -196,9 +179,7 @@ pub(crate) fn on_service_decision<S: TelemetrySink + ?Sized>(
     let pressures = effective_pressures(world);
     let weights = world.monitor.weights();
     let others = co_tenant_loads(world, now);
-    let homes: Option<Vec<NodeId>> = world.fabric.as_ref().map(|f| f.home.clone());
-    let mut scratch = Vec::new();
-    let local = filter_by_home(&others, &homes, idx, &mut scratch);
+    let local = &others[world.engine.home(world.services[idx].sid).index()];
     decide_service(exp, world, idx, now, pressures, weights, local, sink);
 }
 
@@ -208,12 +189,9 @@ pub(crate) fn on_service_decision<S: TelemetrySink + ?Sized>(
 fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime, sink: &mut S) {
     let SimWorld {
         services,
-        serverless,
-        iaas,
-        platform_rng,
-        bus,
+        engine,
+        cluster,
         queue,
-        fabric,
         drain_deadline,
         ..
     } = world;
@@ -224,26 +202,10 @@ fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime,
         }
         drain_deadline[idx] = None;
         let sid = services[idx].sid;
-        let home = fabric.as_ref().map_or(NodeId::ZERO, |f| f.home[idx]);
-        let displaced = if home == NodeId::ZERO {
-            let (eff, displaced) = iaas.force_drain(sid, now);
-            bus.extend(eff);
-            displaced
-        } else {
-            // The overdue group lives on the service's home node; its
-            // schedules return to the calendar node-tagged.
-            let f = fabric.as_mut().unwrap();
-            let (eff, displaced) = f.node_mut(home).iaas.force_drain(sid, now);
-            for e in eff {
-                match e {
-                    Effect::Schedule { after, event } => {
-                        queue.push(now + after, Ev::NodePlatform { node: home, event });
-                    }
-                    ack => bus.extend([ack]),
-                }
-            }
-            displaced
-        };
+        // The overdue group lives on the service's home node.
+        let home = engine.home(sid);
+        let (eff, displaced) = cluster.nodes[home.index()].iaas.force_drain(sid, now);
+        cluster.bus.extend(home, eff);
         if sink.enabled() {
             sink.record(TelemetryEvent::Fault(FaultRecord {
                 t: now,
@@ -259,22 +221,17 @@ fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime,
                 after_s: DRAIN_TIMEOUT_S,
             }));
         }
+        // Displaced work re-queues on the home node's pool, keeping
+        // the original submit time.
         for q in displaced {
-            if home == NodeId::ZERO {
-                serverless.resume_service(q.service);
-                bus.extend(serverless.submit(q, now, platform_rng));
-            } else {
-                // Displaced work re-queues on the home node's pool,
-                // keeping the original submit time.
-                queue.push(
-                    now,
-                    Ev::RemoteSubmit {
-                        node: home,
-                        query: q,
-                        route: RouteTarget::Serverless,
-                    },
-                );
-            }
+            cluster.submit(
+                home,
+                q,
+                RouteTarget::Serverless,
+                SimDuration::ZERO,
+                now,
+                queue,
+            );
         }
     }
 }
@@ -298,12 +255,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         services,
         controller,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        bus,
-        queue,
-        fabric,
+        cluster,
         drain_deadline,
         wasted_prewarms,
         failed_switches,
@@ -350,17 +302,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
                     }));
                 }
             }
-            apply_engine_actions(
-                actions,
-                now,
-                serverless,
-                iaas,
-                fabric.as_mut(),
-                queue,
-                platform_rng,
-                bus,
-                drain_deadline,
-            );
+            apply_engine_actions(actions, now, cluster, drain_deadline);
             return;
         }
         // The controller is not consulted while a
@@ -436,17 +378,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         }
         Decision::SwitchToIaas => engine.begin_switch(sid, DeployMode::Iaas, 0, load, now, sink),
     };
-    apply_engine_actions(
-        actions,
-        now,
-        serverless,
-        iaas,
-        fabric.as_mut(),
-        queue,
-        platform_rng,
-        bus,
-        drain_deadline,
-    );
+    apply_engine_actions(actions, now, cluster, drain_deadline);
 }
 
 /// Shadow traffic: one mirrored query per IaaS-mode
@@ -459,11 +391,8 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
         services,
         controller,
         engine,
-        serverless,
-        platform_rng,
-        bus,
+        cluster,
         queue,
-        fabric,
         ..
     } = world;
     for (idx, svc) in services.iter_mut().enumerate() {
@@ -480,19 +409,22 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
             submitted: now,
         };
         svc.next_query_id += 1;
-        let home = fabric.as_ref().map_or(NodeId::ZERO, |f| f.home[idx]);
+        // The probe mirrors onto the home node's pool — internal
+        // traffic, so no wire delay. On node 0 it is submitted as
+        // internal traffic and ends no drain; on any other node it
+        // lands through the delivery event like all of that node's
+        // work.
+        let home = engine.home(sid);
         if home == NodeId::ZERO {
-            bus.extend(serverless.submit(query, now, platform_rng));
+            cluster.probe(query, now);
         } else {
-            // The probe mirrors onto the home node's pool —
-            // internal traffic, so no wire delay.
-            queue.push(
+            cluster.submit(
+                home,
+                query,
+                RouteTarget::Serverless,
+                SimDuration::ZERO,
                 now,
-                Ev::RemoteSubmit {
-                    node: home,
-                    query,
-                    route: RouteTarget::Serverless,
-                },
+                queue,
             );
         }
     }

@@ -2,22 +2,24 @@
 //! kernel.
 //!
 //! Platform calls never mutate run state directly — they return
-//! [`Effect`]s, which accumulate on the [`EffectBus`] and are applied
-//! by [`apply`] after each dispatched calendar event. Applying an
-//! effect can produce further effects (an ack triggers engine actions,
-//! which command platforms, which respond); [`apply`] therefore drains
-//! in batches until the bus is idle.
+//! [`Effect`]s, which accumulate on the [`EffectBus`] tagged with the
+//! node that emitted them and are applied by [`apply`] after each
+//! dispatched calendar event. Applying an effect can produce further
+//! effects (an ack triggers engine actions, which command platforms,
+//! which respond); [`apply`] therefore drains in batches until the bus
+//! is idle.
 
 use super::{completions, switching, Ev, Experiment, SimWorld};
-use amoeba_platform::Effect;
+use amoeba_platform::{Effect, NodeId};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TelemetrySink;
 
-/// Pending platform effects, in emission order. Batch draining
-/// preserves the original inline-worklist semantics: everything
-/// emitted while applying batch *n* is deferred to batch *n + 1*.
+/// Pending platform effects with their node, in emission order. Batch
+/// draining preserves the original inline-worklist semantics:
+/// everything emitted while applying batch *n* is deferred to batch
+/// *n + 1*.
 pub(crate) struct EffectBus {
-    pending: Vec<Effect>,
+    pending: Vec<(NodeId, Effect)>,
 }
 
 impl EffectBus {
@@ -27,9 +29,9 @@ impl EffectBus {
         }
     }
 
-    /// Queue every effect of one platform response.
-    pub(crate) fn extend(&mut self, effects: impl IntoIterator<Item = Effect>) {
-        self.pending.extend(effects);
+    /// Queue every effect of one platform response from `node`.
+    pub(crate) fn extend(&mut self, node: NodeId, effects: impl IntoIterator<Item = Effect>) {
+        self.pending.extend(effects.into_iter().map(|e| (node, e)));
     }
 
     /// Is there nothing left to apply?
@@ -38,43 +40,32 @@ impl EffectBus {
     }
 
     /// Take the current batch, leaving the bus empty for re-emission.
-    pub(crate) fn take_batch(&mut self) -> Vec<Effect> {
+    pub(crate) fn take_batch(&mut self) -> Vec<(NodeId, Effect)> {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Raw access for [`super::world::SimPlatforms`], whose
-    /// `PlatformCommands` impl pushes platform responses while the
-    /// engine's actions are dispatched.
-    pub(crate) fn pending_mut(&mut self) -> &mut Vec<Effect> {
-        &mut self.pending
     }
 }
 
 /// Apply every pending effect (and everything their application emits)
 /// at simulation time `now`. Scheduling effects land back on the
-/// calendar; completions and switch-protocol acks go to their handler
-/// modules.
+/// calendar tagged with their node; completions are counted on their
+/// node and accounted; switch-protocol acks are service-keyed and go to
+/// the node-agnostic switching handlers.
 pub(crate) fn apply<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
     now: SimTime,
     sink: &mut S,
 ) {
-    while !world.bus.is_idle() {
-        let batch = world.bus.take_batch();
-        for e in batch {
+    while !world.cluster.bus.is_idle() {
+        let batch = world.cluster.bus.take_batch();
+        for (node, e) in batch {
             match e {
                 Effect::Schedule { after, event } => {
-                    world.queue.push(now + after, Ev::Platform(event));
+                    world.queue.push(now + after, Ev::Platform { node, event });
                 }
                 Effect::Completed(outcome) => {
-                    // Completions on the main bus always come from
-                    // node 0's platforms; remote nodes account theirs
-                    // in `fabric::absorb`.
                     if !outcome.query.id.is_shadow() {
-                        if let Some(f) = world.fabric.as_mut() {
-                            f.note_completed(amoeba_platform::NodeId::ZERO);
-                        }
+                        world.cluster.nodes[node.index()].totals.completed += 1;
                     }
                     completions::on_completed(exp, world, outcome, now, sink);
                 }

@@ -6,7 +6,7 @@ use super::{Ev, Experiment, SimWorld};
 use crate::engine::RouteTarget;
 use crate::monitor::ContentionMonitor;
 use amoeba_chaos::{BootOutcome, FaultInjector, TimedFault};
-use amoeba_platform::{ClusterEvent, Query, QueryId, ServiceId};
+use amoeba_platform::{ClusterEvent, NodeId, Query, QueryId, ServiceId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     FaultKind, FaultRecord, RecoveryKind, RecoveryRecord, TelemetryEvent, TelemetrySink,
@@ -64,44 +64,40 @@ pub(crate) fn chaos_completion(
     false
 }
 
-/// Deliver one platform-internal event. Serverless events pass
-/// straight through; `VmBootDone` first runs the chaos boot gauntlet —
-/// a boot in flight may fail outright or land late by the plan's
-/// slow-boot multiplier (§V resilience).
+/// Deliver one platform-internal event to its node. On node 0, the
+/// only node chaos acts on, `VmBootDone` first runs the chaos boot
+/// gauntlet — a boot in flight may fail outright or land late by the
+/// plan's slow-boot multiplier (§V resilience).
 pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
+    node: NodeId,
     ev: ClusterEvent,
     now: SimTime,
     sink: &mut S,
 ) {
     let SimWorld {
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
+        cluster,
         queue,
         chaos,
         horizon_t,
         ..
     } = world;
+    let mut chaos = chaos.as_mut().filter(|_| node == NodeId::ZERO);
+    let rt = &mut cluster.nodes[node.index()];
     let eff = match ev {
-        ClusterEvent::ColdStartDone { .. }
-        | ClusterEvent::ServerlessExecDone { .. }
-        | ClusterEvent::ContainerExpire { .. } => serverless.handle(ev, now, platform_rng),
         ClusterEvent::VmBootDone { service } => {
             // Chaos may fail or delay a boot in flight;
             // past the horizon boots always land so the
             // calendar drains.
-            let mut fate = match chaos.as_mut() {
-                Some(ch) if now < *horizon_t && iaas.is_booting(service) => {
+            let mut fate = match chaos.as_deref_mut() {
+                Some(ch) if now < *horizon_t && rt.iaas.is_booting(service) => {
                     ch.injector.vm_boot_outcome()
                 }
                 _ => BootOutcome::Healthy,
             };
             let mult = chaos
-                .as_ref()
+                .as_deref()
                 .map_or(1.0, |c| c.injector.plan().slow_boot_multiplier);
             if fate == BootOutcome::Slow && mult <= 1.0 {
                 fate = BootOutcome::Healthy;
@@ -109,7 +105,7 @@ pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
             let idx = service.raw() as usize;
             match fate {
                 BootOutcome::Fail => {
-                    if let Some(ch) = chaos.as_mut() {
+                    if let Some(ch) = chaos.as_deref_mut() {
                         if idx < ch.boot_fault_since.len() && ch.boot_fault_since[idx].is_none() {
                             ch.boot_fault_since[idx] = Some(now);
                         }
@@ -123,11 +119,14 @@ pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
                             queries_dropped: 0,
                         }));
                     }
-                    iaas.fail_boot(service, now)
+                    rt.iaas.fail_boot(service, now)
                 }
                 BootOutcome::Slow => {
                     let extra = exp.iaas_cfg.boot_time_s * (mult - 1.0);
-                    queue.push(now + SimDuration::from_secs_f64(extra), Ev::Platform(ev));
+                    queue.push(
+                        now + SimDuration::from_secs_f64(extra),
+                        Ev::Platform { node, event: ev },
+                    );
                     if sink.enabled() {
                         sink.record(TelemetryEvent::Fault(FaultRecord {
                             t: now,
@@ -140,7 +139,7 @@ pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
                     Vec::new()
                 }
                 BootOutcome::Healthy => {
-                    if let Some(ch) = chaos.as_mut() {
+                    if let Some(ch) = chaos {
                         if idx < ch.boot_fault_since.len() {
                             if let Some(since) = ch.boot_fault_since[idx].take() {
                                 if sink.enabled() {
@@ -154,13 +153,13 @@ pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
                             }
                         }
                     }
-                    iaas.handle(ev, now, iaas_rng)
+                    rt.iaas.handle(ev, now, &mut cluster.iaas_rng)
                 }
             }
         }
-        ClusterEvent::IaasExecDone { .. } => iaas.handle(ev, now, iaas_rng),
+        _ => rt.handle(ev, now, &mut cluster.platform_rng, &mut cluster.iaas_rng),
     };
-    bus.extend(eff);
+    cluster.bus.extend(node, eff);
 }
 
 /// A scheduled fault fires. Container crashes displace or drop the
@@ -175,26 +174,24 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
     let SimWorld {
         services,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
+        cluster,
         queue,
         chaos,
-        fabric,
         workflow,
         warmup_t,
         ..
     } = world;
     if let Some(ch) = chaos.as_mut() {
         match fault {
+            // Chaos acts on node 0 only.
             TimedFault::ContainerCrash => {
+                let serverless = &mut cluster.nodes[0].serverless;
                 let total = serverless.total_containers() as usize;
                 let report = if total > 0 {
                     let victim = ch.injector.pick(total);
-                    let (eff, report) = serverless.crash_container(victim, now, platform_rng);
-                    bus.extend(eff);
+                    let (eff, report) =
+                        serverless.crash_container(victim, now, &mut cluster.platform_rng);
+                    cluster.bus.extend(NodeId::ZERO, eff);
                     report
                 } else {
                     None // empty pool: the crash is a no-op
@@ -219,12 +216,9 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
                             if let Some(wrt) = workflow.as_mut() {
                                 wrt.on_stage_query_lost(idx, q.id);
                             }
-                            // Chaos only strikes node 0; the fabric's
-                            // conservation counters track every user
-                            // query, warmup included.
-                            if let Some(f) = fabric.as_mut() {
-                                f.note_failed(amoeba_platform::NodeId::ZERO);
-                            }
+                            // The per-node conservation counters track
+                            // every user query, warmup included.
+                            cluster.nodes[0].totals.failed += 1;
                         } else {
                             // Re-queue on the current route,
                             // keeping the original submit time
@@ -239,15 +233,7 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
                             } else {
                                 RouteTarget::Serverless
                             };
-                            match target {
-                                RouteTarget::Serverless => {
-                                    serverless.resume_service(q.service);
-                                    bus.extend(serverless.submit(q, now, platform_rng));
-                                }
-                                RouteTarget::Iaas => {
-                                    bus.extend(iaas.submit(q, now, iaas_rng));
-                                }
-                            }
+                            cluster.submit(NodeId::ZERO, q, target, SimDuration::ZERO, now, queue);
                         }
                     }
                     if sink.enabled() {
@@ -327,9 +313,7 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
 /// golden traces).
 pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime) {
     let SimWorld {
-        serverless,
-        platform_rng,
-        bus,
+        cluster,
         chaos,
         tenancy,
         ..
@@ -345,6 +329,6 @@ pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime)
             submitted: now,
         };
         ch.spike_next_id += 1;
-        bus.extend(serverless.submit(q, now, platform_rng));
+        cluster.probe(q, now);
     }
 }

@@ -12,9 +12,7 @@ use amoeba_telemetry::{HeartbeatRecord, TelemetryEvent, TelemetrySink};
 /// phase-shifted so the three never collide, §VII-E).
 pub(crate) fn on_meter_arrival(world: &mut SimWorld, meter: usize, now: SimTime) {
     let SimWorld {
-        serverless,
-        platform_rng,
-        bus,
+        cluster,
         queue,
         meter_ids,
         meter_next_id,
@@ -28,7 +26,7 @@ pub(crate) fn on_meter_arrival(world: &mut SimWorld, meter: usize, now: SimTime)
         submitted: now,
     };
     *meter_next_id += 1;
-    bus.extend(serverless.submit(query, now, platform_rng));
+    cluster.probe(query, now);
     let next = now + SimDuration::from_secs_f64(1.0 / METER_QPS);
     if next < *horizon_t {
         queue.push(next, Ev::MeterArrival { meter });
@@ -70,12 +68,10 @@ pub(crate) fn on_heartbeat<S: TelemetrySink + ?Sized>(
 pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
     let SimWorld {
         services,
-        serverless,
-        iaas,
+        cluster,
         engine,
         controller,
         queue,
-        fabric,
         meter_ids,
         meter_core_seconds,
         last_usage_sample,
@@ -84,23 +80,21 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
     } = world;
     let dt = now.duration_since(*last_usage_sample).as_secs_f64();
     *last_usage_sample = now;
+    let (node0, others) = cluster.nodes.split_first().expect("at least one node");
+    let serverless = &node0.serverless;
     for (idx, s) in services.iter_mut().enumerate() {
-        // Fleet-wide aggregates: node 0 plus every fabric node (the
-        // single-node path sums over nothing extra and stays
-        // bit-identical).
-        let (mut iaas_cores, mut iaas_mem) = iaas.allocation(s.sid);
-        let mut busy_iaas = iaas.busy_cores(s.sid);
+        // Fleet-wide aggregates: node 0, then every other node.
+        let (mut iaas_cores, mut iaas_mem) = node0.iaas.allocation(s.sid);
+        let mut busy_iaas = node0.iaas.busy_cores(s.sid);
         let mut containers = serverless.container_count(s.sid) as f64;
         let mut busy_count = serverless.busy_count(s.sid) as f64;
-        if let Some(f) = fabric.as_ref() {
-            for rt in &f.nodes {
-                let (c, m) = rt.iaas.allocation(s.sid);
-                iaas_cores += c;
-                iaas_mem += m;
-                busy_iaas += rt.iaas.busy_cores(s.sid);
-                containers += rt.serverless.container_count(s.sid) as f64;
-                busy_count += rt.serverless.busy_count(s.sid) as f64;
-            }
+        for rt in others {
+            let (c, m) = rt.iaas.allocation(s.sid);
+            iaas_cores += c;
+            iaas_mem += m;
+            busy_iaas += rt.iaas.busy_cores(s.sid);
+            containers += rt.serverless.container_count(s.sid) as f64;
+            busy_count += rt.serverless.busy_count(s.sid) as f64;
         }
         s.billable.iaas_core_seconds += iaas_cores * dt;
         s.billable.iaas_mem_mb_seconds += iaas_mem * dt;

@@ -18,14 +18,17 @@
 //!
 //! `world::SimWorld` owns every piece of mutable run state; each
 //! event class is handled by its own module (`arrivals`, `control`,
-//! `metering`, `faults`); platform effects are carried on the
-//! `effects::EffectBus` and applied by `effects::apply`, which
-//! routes completions to `completions` and switch-protocol acks to
-//! `switching`. Handlers never mutate platforms behind the engine's
-//! back: engine decisions go through the `PlatformCommands` trait and
-//! every platform response returns as an effect on the bus.
+//! `metering`, `faults`). Every node, node 0 included, is one entry of
+//! the `cluster::Cluster`'s node vector; platform effects of any node
+//! are carried on the node-tagged `effects::EffectBus` and applied by
+//! `effects::apply`, which routes completions to `completions` and
+//! switch-protocol acks to `switching`. Handlers never mutate
+//! platforms behind the engine's back: every engine action goes
+//! through `Cluster::apply` and every platform response returns as an
+//! effect on the bus.
 
 mod arrivals;
+mod cluster;
 mod completions;
 mod control;
 mod effects;
@@ -163,9 +166,8 @@ pub struct Experiment {
     pub ack_timeout: SimDuration,
     /// Ack retries before a switch is rolled back as `Aborted`.
     pub max_ack_retries: u32,
-    /// Node topology. The default single-node shape runs the legacy
-    /// path bit-identically; more than one node activates the
-    /// multi-node fabric (per-node platforms, placement, spill).
+    /// Node topology. The default is one node; with more than one, the
+    /// fabric places queries across the nodes (placement, spill).
     pub topology: TopologyConfig,
     /// Placement scheduler for multi-node runs (ignored single-node).
     pub scheduler: Scheduler,
@@ -286,24 +288,25 @@ fn dispatch<S: TelemetrySink + ?Sized>(
         Ev::ServiceDecision { idx } => control::on_service_decision(exp, world, idx, now, sink),
         Ev::Heartbeat => metering::on_heartbeat(world, now, sink),
         Ev::UsageSample => metering::on_usage_sample(exp, world, now),
-        Ev::Platform(pe) => faults::on_platform_event(exp, world, pe, now, sink),
+        Ev::Platform { node, event } => {
+            faults::on_platform_event(exp, world, node, event, now, sink)
+        }
         Ev::Chaos(fault) => faults::on_chaos(world, fault, now, sink),
         Ev::SpikeQuery { sid } => faults::on_spike_query(world, sid, now),
-        Ev::NodePlatform { node, event } => {
-            fabric::on_node_platform(exp, world, node, event, now, sink)
-        }
-        Ev::RemoteSubmit { node, query, route } => {
-            fabric::on_remote_submit(exp, world, node, query, route, now, sink)
-        }
+        Ev::RemoteSubmit { node, query, route } => world.cluster.deliver(node, query, route, now),
         Ev::VendorTick => tenancy::on_vendor_tick(world, now, sink),
     }
 }
 
-/// The calendar's event vocabulary. Platform-internal progress arrives
-/// as [`Ev::Platform`]; everything else is runtime-scheduled.
+/// The calendar's event vocabulary. Platform-internal progress on any
+/// node arrives as [`Ev::Platform`]; everything else is
+/// runtime-scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ev {
-    Platform(ClusterEvent),
+    Platform {
+        node: NodeId,
+        event: ClusterEvent,
+    },
     Arrival {
         idx: usize,
     },
@@ -324,13 +327,9 @@ pub(crate) enum Ev {
     SpikeQuery {
         sid: ServiceId,
     },
-    /// Platform-internal progress on a remote node (multi-node only).
-    NodePlatform {
-        node: NodeId,
-        event: ClusterEvent,
-    },
-    /// A query lands on a remote node after its wire delay, carrying
-    /// the route decided at placement time (multi-node only).
+    /// A query lands on a node other than node 0 after its wire delay
+    /// (zero for home traffic), carrying the route decided when it was
+    /// placed (multi-node only).
     RemoteSubmit {
         node: NodeId,
         query: Query,
@@ -439,11 +438,11 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Run on `n` nodes (all at capacity scale 1.0 until overridden by
-    /// [`ExperimentBuilder::node_capacity`]). `n = 1` is the legacy
-    /// single-node shape; anything larger activates the multi-node
-    /// fabric. By convention node 0 — the user-facing node whose
-    /// capacity the controller models — stays at scale 1.0.
+    /// Run on `n` nodes, `1 ≤ n ≤ 255` (all at capacity scale 1.0
+    /// until overridden by [`ExperimentBuilder::node_capacity`]). `n = 1`
+    /// is the default single-node shape; with more, the fabric places
+    /// queries across the nodes. By convention node 0 — the user-facing
+    /// node whose capacity the controller models — stays at scale 1.0.
     pub fn nodes(mut self, n: usize) -> Self {
         assert!((1..=255).contains(&n), "node count {n} out of range");
         self.inner.topology.node_scales = vec![1.0; n];

@@ -260,12 +260,11 @@ pub struct RunResult {
 /// the public result types.
 pub(crate) fn finish(exp: &Experiment, world: SimWorld) -> RunResult {
     let SimWorld {
-        serverless,
+        cluster,
         controller,
         monitor,
         engine,
         services,
-        fabric,
         workflow,
         tenancy,
         wasted_prewarms,
@@ -314,23 +313,11 @@ pub(crate) fn finish(exp: &Experiment, world: SimWorld) -> RunResult {
         })
         .collect();
     let final_gains = (0..results.len()).map(|i| controller.gain(i)).collect();
-    let cold_starts = serverless.cold_start_count()
-        + fabric.as_ref().map_or(0, |f| {
-            f.nodes
-                .iter()
-                .map(|n| n.serverless.cold_start_count())
-                .sum()
-        });
-    let multinode = fabric.map(|f| MultiNodeSummary {
-        nodes: (0..f.node_count())
-            .map(|i| NodeTotals {
-                submitted: f.node_submitted[i],
-                completed: f.node_completed[i],
-                failed: f.node_failed[i],
-                spills: f.node_spills[i],
-            })
-            .collect(),
-        spill_total: f.spill_total,
+    let nodes = &cluster.nodes;
+    let cold_starts = nodes.iter().map(|n| n.serverless.cold_start_count()).sum();
+    let multinode = (nodes.len() > 1).then(|| MultiNodeSummary {
+        nodes: nodes.iter().map(|n| n.totals).collect(),
+        spill_total: nodes.iter().map(|n| n.totals.spills).sum(),
     });
     let workflows: Vec<WorkflowResult> = workflow
         .map(|wrt| {

@@ -89,7 +89,7 @@ impl EpochRun {
     /// This cell's serverless pool occupancy per resource — the signal
     /// the epoch exchange aggregates across cells.
     pub fn pool_utilization(&self) -> [f64; 3] {
-        self.world.serverless.utilization()
+        self.world.cluster.nodes[0].serverless.utilization()
     }
 
     /// Inject cross-cell pool pressure for the next epoch: added to the
@@ -104,7 +104,7 @@ impl EpochRun {
     pub fn set_service_caps(&mut self, cap: Option<u32>) {
         let w = &mut self.world;
         for s in &w.services {
-            w.serverless.set_tenant_cap(s.sid, cap);
+            w.cluster.nodes[0].serverless.set_tenant_cap(s.sid, cap);
         }
     }
 

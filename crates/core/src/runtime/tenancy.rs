@@ -72,7 +72,7 @@ pub(crate) fn on_vendor_tick<S: TelemetrySink + ?Sized>(
     sink: &mut S,
 ) {
     let SimWorld {
-        serverless,
+        cluster,
         services,
         tenancy,
         queue,
@@ -82,6 +82,7 @@ pub(crate) fn on_vendor_tick<S: TelemetrySink + ?Sized>(
     let Some(trt) = tenancy.as_mut() else {
         return;
     };
+    let serverless = &mut cluster.nodes[0].serverless;
     let util = serverless.utilization();
     let peak = util[0].max(util[1]).max(util[2]);
     let was = trt.throttled;

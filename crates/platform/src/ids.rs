@@ -60,20 +60,19 @@ id_type!(
 id_type!(
     /// One node in a multi-node topology.
     ///
-    /// Node indices are bounded by the 8-bit container-tag field used by
-    /// [`crate::MultiNodePool`] (`NODE_BITS`), so the raw value is a
-    /// `u8`. Build ids through [`NodeId::new`], which asserts (in debug
+    /// A topology has at most 255 nodes (the bound the runtime's
+    /// `ExperimentBuilder::nodes` enforces), so the raw value is a `u8`.
+    /// Build ids through [`NodeId::new`], which asserts (in debug
     /// builds) that a `usize` index fits; use [`NodeId::index`] to get
     /// it back for slice access.
     NodeId(u8)
 );
 
 impl NodeId {
-    /// The home node of every single-node (legacy) scenario.
+    /// The ingress node, and the only node of a single-node scenario.
     pub const ZERO: NodeId = NodeId(0);
 
-    /// A node id from a topology index, asserting it fits the 8-bit
-    /// container-tag field.
+    /// A node id from a topology index, asserting it fits a `u8`.
     #[inline]
     pub fn new(index: usize) -> Self {
         debug_assert!(

@@ -29,7 +29,6 @@ pub mod cluster;
 pub mod config;
 pub mod iaas;
 pub mod ids;
-pub mod multinode;
 pub mod placement;
 pub mod query;
 pub mod resources;
@@ -40,7 +39,6 @@ pub use cluster::{ClusterEvent, Effect};
 pub use config::{IaasConfig, NodeConfig, ServerlessConfig};
 pub use iaas::{required_cores, IaasPlatform};
 pub use ids::{ContainerId, NodeId, QueryId, ServiceId};
-pub use multinode::{fleet_max_utilization, fleet_mean_utilization, MultiNodePool, Placement};
 pub use placement::{PlacementTarget, Scheduler, TargetId, TargetMode, TopologyConfig};
 pub use query::{ExecutedOn, LatencyBreakdown, Query, QueryOutcome};
 pub use resources::SharedResources;

@@ -94,8 +94,10 @@ pub enum Scheduler {
     /// least-loaded peer when the home pool saturates.
     #[default]
     AmoebaPerNode,
-    /// NOAH-style serverless scheduling: every query goes to the
-    /// least-loaded node's pool; no IaaS, no home affinity.
+    /// NOAH-style serverless scheduling: every serverless query goes
+    /// to the least-loaded node's pool, with no home affinity. A
+    /// service's VM group lives on its home node, so IaaS work stays
+    /// there.
     Noah,
     /// Contention-aware edge placement: services are statically
     /// assigned to nodes by dominant resource demand so that no node's
@@ -117,8 +119,7 @@ impl Scheduler {
 /// Multi-node topology: per-node capacity scales plus a uniform
 /// inter-node round-trip time.
 ///
-/// The default is the legacy single-node shape (one node at scale 1.0,
-/// zero RTT), which keeps every existing experiment byte-identical.
+/// The default is a single node at scale 1.0 with zero RTT.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologyConfig {
     /// Capacity scale per node: node `i`'s cores, disk and NIC
