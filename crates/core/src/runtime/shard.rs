@@ -1,7 +1,7 @@
 //! Epoch-sliced execution: the kernel seam the fleet executor drives.
 //!
-//! [`Experiment::run_with_sink`] drains the calendar in one sitting; an
-//! [`EpochRun`] exposes the same pop → dispatch → apply-effects loop as
+//! [`Experiment::run`] drains the calendar in one sitting; an
+//! [`EpochRun`] drives the same pop → dispatch → apply-effects step as
 //! a resumable stepper that can be advanced *up to* a time bound and
 //! handed back later. One `EpochRun` is one **cell**: a self-contained
 //! experiment with its own `SimWorld`, event queue and forked RNG
@@ -15,7 +15,7 @@
 //! ([`EpochRun::set_external_pressure`], [`EpochRun::set_service_caps`])
 //! — the only channel by which cells interact.
 
-use super::{dispatch, effects, results, world, Experiment, RunResult};
+use super::{results, step, world, Experiment, RunResult};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TelemetrySink;
 
@@ -26,7 +26,7 @@ use amoeba_telemetry::TelemetrySink;
 ///
 /// Advancing to the horizon in any sequence of `run_until` bounds —
 /// including one unbounded drain — dispatches exactly the event
-/// sequence of [`Experiment::run_with_sink`], so the telemetry stream
+/// sequence of [`Experiment::run`], so the telemetry stream
 /// is byte-identical to the serial runtime's whatever the epoch length.
 pub struct EpochRun {
     exp: Experiment,
@@ -62,21 +62,14 @@ impl EpochRun {
     /// `until` stay queued for the next epoch, so slicing the horizon
     /// into epochs never reorders events across the boundary.
     pub fn run_until<S: TelemetrySink + ?Sized>(&mut self, until: SimTime, sink: &mut S) {
-        while matches!(self.world.queue.peek_time(), Some(t) if t < until) {
-            let fired = self.world.queue.pop().expect("peeked event");
-            let now = fired.time;
-            dispatch(&self.exp, &mut self.world, fired.payload, now, sink);
-            effects::apply(&self.exp, &mut self.world, now, sink);
+        while step(&self.exp, &mut self.world, Some(until), sink) {
             self.events += 1;
         }
     }
 
     /// Drain the calendar completely (the final epoch).
     pub fn run_to_completion<S: TelemetrySink + ?Sized>(&mut self, sink: &mut S) {
-        while let Some(fired) = self.world.queue.pop() {
-            let now = fired.time;
-            dispatch(&self.exp, &mut self.world, fired.payload, now, sink);
-            effects::apply(&self.exp, &mut self.world, now, sink);
+        while step(&self.exp, &mut self.world, None, sink) {
             self.events += 1;
         }
     }

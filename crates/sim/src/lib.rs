@@ -17,12 +17,10 @@
 //! enumeration, which is only meaningful if re-running the same workload
 //! yields the same latencies.
 
-pub mod clock;
 pub mod events;
 pub mod rng;
 pub mod time;
 
-pub use clock::Clock;
 pub use events::{EventId, EventQueue, ScheduledEvent};
 pub use rng::{Distributions, SimRng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};
