@@ -15,28 +15,9 @@
 //! The Amoeba-NoP ablation (§VII-D) skips step 1 for switches toward
 //! serverless: the router flips immediately and queries eat cold starts.
 
-use crate::controller::DeployMode;
-use amoeba_platform::{NodeId, ServiceId, TargetId, TargetMode};
+use amoeba_platform::{NodeId, ServiceId, TargetId};
 use amoeba_sim::{SimDuration, SimTime};
-use amoeba_telemetry::{SwitchPhase, SwitchRecord, TelemetryEvent, TelemetrySink};
-
-impl From<DeployMode> for TargetMode {
-    fn from(mode: DeployMode) -> TargetMode {
-        match mode {
-            DeployMode::Serverless => TargetMode::Serverless,
-            DeployMode::Iaas => TargetMode::Iaas,
-        }
-    }
-}
-
-/// Where the router sends a new query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteTarget {
-    /// To the serverless pool.
-    Serverless,
-    /// To the IaaS VM group.
-    Iaas,
-}
+use amoeba_telemetry::{DeployMode, SwitchPhase, SwitchRecord, TelemetryEvent, TelemetrySink};
 
 /// What the engine asks the runtime to do on the cluster. Every action
 /// names a [`TargetId`] — node × mode — rather than implying one of two
@@ -152,8 +133,8 @@ fn emit_phase<S: TelemetrySink + ?Sized>(
         sink.record(TelemetryEvent::Switch(SwitchRecord {
             t,
             service: service.raw() as usize,
-            from: from.into(),
-            to: to.into(),
+            from,
+            to,
             phase,
             prewarm_count,
             load_qps,
@@ -208,14 +189,6 @@ impl HybridEngine {
         let r = &mut self.routes[service.raw() as usize];
         r.mode = mode;
         r.transition = Transition::Steady;
-    }
-
-    /// Where a new query of `service` goes right now.
-    pub fn route(&self, service: ServiceId) -> RouteTarget {
-        match self.routes[service.raw() as usize].mode {
-            DeployMode::Iaas => RouteTarget::Iaas,
-            DeployMode::Serverless => RouteTarget::Serverless,
-        }
     }
 
     /// Current deployment mode of a service.
@@ -473,7 +446,7 @@ impl HybridEngine {
                 service,
                 target: TargetId {
                     node: home,
-                    mode: target.into(),
+                    mode: target,
                 },
                 count: prewarm,
             }];
@@ -496,17 +469,17 @@ impl HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_telemetry::{MemorySink, Mode, NoopSink};
+    use amoeba_telemetry::{MemorySink, NoopSink};
 
     const S: ServiceId = ServiceId(0);
     /// Node-0 targets: what the protocol names on a single node.
     const SLS: TargetId = TargetId {
         node: NodeId::ZERO,
-        mode: TargetMode::Serverless,
+        mode: DeployMode::Serverless,
     };
     const VMS: TargetId = TargetId {
         node: NodeId::ZERO,
-        mode: TargetMode::Iaas,
+        mode: DeployMode::Iaas,
     };
 
     fn t(s: u64) -> SimTime {
@@ -516,9 +489,9 @@ mod tests {
     #[test]
     fn initial_mode_routes_accordingly() {
         let e = HybridEngine::new(2, DeployMode::Iaas, true);
-        assert_eq!(e.route(S), RouteTarget::Iaas);
+        assert_eq!(e.mode(S), DeployMode::Iaas);
         let e = HybridEngine::new(1, DeployMode::Serverless, true);
-        assert_eq!(e.route(S), RouteTarget::Serverless);
+        assert_eq!(e.mode(S), DeployMode::Serverless);
     }
 
     #[test]
@@ -536,7 +509,7 @@ mod tests {
         );
         // Router still points at IaaS until the ack (§V-B: "the
         // transformation only occurs after acknowledgement received").
-        assert_eq!(e.route(S), RouteTarget::Iaas);
+        assert_eq!(e.mode(S), DeployMode::Iaas);
         assert!(e.in_transition(S));
         let actions = e.on_ready(S, DeployMode::Serverless, 8.0, t(12), &mut sink);
         assert_eq!(
@@ -546,7 +519,7 @@ mod tests {
                 target: VMS
             }]
         );
-        assert_eq!(e.route(S), RouteTarget::Serverless);
+        assert_eq!(e.mode(S), DeployMode::Serverless);
         assert!(!e.in_transition(S));
         assert_eq!(e.last_switch(S), t(12));
         assert_eq!(e.history(S), &[(t(12), DeployMode::Serverless, 8.0)]);
@@ -565,7 +538,7 @@ mod tests {
                 count: 0
             }]
         );
-        assert_eq!(e.route(S), RouteTarget::Serverless);
+        assert_eq!(e.mode(S), DeployMode::Serverless);
         let actions = e.on_ready(S, DeployMode::Iaas, 80.0, t(31), &mut sink);
         assert_eq!(
             actions,
@@ -574,7 +547,7 @@ mod tests {
                 target: SLS
             }]
         );
-        assert_eq!(e.route(S), RouteTarget::Iaas);
+        assert_eq!(e.mode(S), DeployMode::Iaas);
     }
 
     #[test]
@@ -589,7 +562,7 @@ mod tests {
                 target: VMS
             }]
         );
-        assert_eq!(e.route(S), RouteTarget::Serverless, "NoP routes directly");
+        assert_eq!(e.mode(S), DeployMode::Serverless, "NoP routes directly");
         assert!(!e.in_transition(S));
         // Toward IaaS, NoP still waits for VMs (nothing cold-start-like
         // about that direction; the paper's ablation only drops container
@@ -603,7 +576,7 @@ mod tests {
                 count: 0
             }]
         );
-        assert_eq!(e.route(S), RouteTarget::Serverless);
+        assert_eq!(e.mode(S), DeployMode::Serverless);
         // The NoP flip's telemetry span collapses to a single instant:
         // requested, flipped and released at t=10, with no ack stage.
         let spans = sink.into_trace().switch_spans();
@@ -693,7 +666,7 @@ mod tests {
             }]
         );
         assert!(!e.in_transition(S));
-        assert_eq!(e.route(S), RouteTarget::Iaas, "mode unchanged after abort");
+        assert_eq!(e.mode(S), DeployMode::Iaas, "mode unchanged after abort");
         // Abort with nothing pending: no-op.
         assert!(e.abort_transition(S, t(3), &mut sink).is_empty());
         // The span closes as aborted, never flipped.
@@ -757,7 +730,7 @@ mod tests {
         }
         // The satellite invariant: the router never left the old
         // platform — queries kept flowing to IaaS the whole time.
-        assert_eq!(e.route(S), RouteTarget::Iaas);
+        assert_eq!(e.mode(S), DeployMode::Iaas);
         assert!(!e.in_transition(S));
         assert_eq!(e.history(S), &[], "no mode change was recorded");
         let spans = sink.into_trace().switch_spans();
@@ -785,7 +758,7 @@ mod tests {
                 target: VMS
             }]
         );
-        assert_eq!(e.route(S), RouteTarget::Serverless);
+        assert_eq!(e.mode(S), DeployMode::Serverless);
         assert_eq!(e.poll_deadline(S, t(1000), &mut sink), None, "steady");
         let spans = sink.into_trace().switch_spans();
         assert_eq!(spans.len(), 1);
@@ -803,7 +776,7 @@ mod tests {
             assert_eq!(e.poll_deadline(S, t(100 + dt), &mut sink), None);
         }
         e.on_ready(S, DeployMode::Serverless, 1.0, t(105), &mut sink);
-        assert_eq!(e.route(S), RouteTarget::Serverless);
+        assert_eq!(e.mode(S), DeployMode::Serverless);
     }
 
     #[test]
@@ -816,8 +789,8 @@ mod tests {
         let spans = sink.into_trace().switch_spans();
         let s = &spans[0];
         assert_eq!(s.prewarm_count, 7);
-        assert_eq!(s.from, Mode::Iaas);
-        assert_eq!(s.to, Mode::Serverless);
+        assert_eq!(s.from, DeployMode::Iaas);
+        assert_eq!(s.to, DeployMode::Serverless);
         assert!(s.requested < s.ack.unwrap());
         assert_eq!(s.ack, s.flip, "router flips on the ack");
         assert_eq!(s.prewarm_duration().unwrap(), t(13) - t(10));

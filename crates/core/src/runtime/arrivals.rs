@@ -2,10 +2,10 @@
 
 use super::cluster::Cluster;
 use super::{Ev, SimWorld};
-use crate::engine::{HybridEngine, RouteTarget};
+use crate::engine::HybridEngine;
 use amoeba_platform::{Query, QueryId};
 use amoeba_sim::{EventQueue, SimDuration, SimTime};
-use amoeba_telemetry::{PlacementRecord, TelemetryEvent, TelemetrySink};
+use amoeba_telemetry::{DeployMode, PlacementRecord, TelemetryEvent, TelemetrySink};
 use amoeba_workload::ArrivalProcess;
 
 /// A real query of service `idx` arrives: record it with the
@@ -51,9 +51,9 @@ pub(crate) fn on_arrival<S: TelemetrySink + ?Sized>(
         submitted: now,
     };
     let target = if services[idx].background {
-        RouteTarget::Serverless
+        DeployMode::Serverless
     } else {
-        engine.route(sid)
+        engine.mode(sid)
     };
     route_and_submit(query, target, now, engine, cluster, queue, sink);
     if !services[idx].exhausted {
@@ -73,7 +73,7 @@ pub(crate) fn on_arrival<S: TelemetrySink + ?Sized>(
 /// inter-node RTT.
 pub(crate) fn route_and_submit<S: TelemetrySink + ?Sized>(
     query: Query,
-    target: RouteTarget,
+    target: DeployMode,
     now: SimTime,
     engine: &HybridEngine,
     cluster: &mut Cluster,

@@ -18,12 +18,13 @@ use super::effects::EffectBus;
 use super::fabric::Fabric;
 use super::results::NodeTotals;
 use super::Ev;
-use crate::engine::{EngineAction, RouteTarget};
+use crate::engine::EngineAction;
 use amoeba_platform::{
     ClusterEvent, Effect, IaasConfig, IaasPlatform, NodeId, Query, ServerlessConfig,
-    ServerlessPlatform, ServiceId, TargetMode,
+    ServerlessPlatform, ServiceId,
 };
 use amoeba_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use amoeba_telemetry::DeployMode;
 use amoeba_workload::MicroserviceSpec;
 
 /// One node: its serverless pool, its IaaS fleet and its query totals.
@@ -90,7 +91,7 @@ impl Cluster {
         &mut self,
         node: NodeId,
         query: Query,
-        route: RouteTarget,
+        route: DeployMode,
         delay: SimDuration,
         now: SimTime,
         queue: &mut EventQueue<Ev>,
@@ -105,14 +106,14 @@ impl Cluster {
     /// A query reaches `node`'s platform. Serverless traffic ends any
     /// drain of the service's pool (the NoP path switches with no
     /// prewarm ack).
-    pub(crate) fn deliver(&mut self, node: NodeId, query: Query, route: RouteTarget, now: SimTime) {
+    pub(crate) fn deliver(&mut self, node: NodeId, query: Query, route: DeployMode, now: SimTime) {
         let rt = &mut self.nodes[node.index()];
         let eff = match route {
-            RouteTarget::Serverless => {
+            DeployMode::Serverless => {
                 rt.serverless.resume_service(query.service);
                 rt.serverless.submit(query, now, &mut self.platform_rng)
             }
-            RouteTarget::Iaas => rt.iaas.submit(query, now, &mut self.iaas_rng),
+            DeployMode::Iaas => rt.iaas.submit(query, now, &mut self.iaas_rng),
         };
         self.bus.extend(node, eff);
     }
@@ -137,22 +138,22 @@ impl Cluster {
             } => {
                 let rt = &mut self.nodes[target.node.index()];
                 let eff = match target.mode {
-                    TargetMode::Serverless => {
+                    DeployMode::Serverless => {
                         rt.serverless
                             .prewarm(service, count, now, &mut self.platform_rng)
                     }
-                    TargetMode::Iaas => rt.iaas.activate(service, now),
+                    DeployMode::Iaas => rt.iaas.activate(service, now),
                 };
                 (target, eff)
             }
             EngineAction::Release { service, target } => {
                 let rt = &mut self.nodes[target.node.index()];
                 let eff = match target.mode {
-                    TargetMode::Serverless => {
+                    DeployMode::Serverless => {
                         rt.serverless.release_service(service);
                         Vec::new()
                     }
-                    TargetMode::Iaas => rt.iaas.release(service, now),
+                    DeployMode::Iaas => rt.iaas.release(service, now),
                 };
                 (target, eff)
             }
@@ -259,7 +260,7 @@ mod tests {
         c.submit(
             NodeId::ZERO,
             query(0),
-            RouteTarget::Serverless,
+            DeployMode::Serverless,
             delay,
             now,
             &mut queue,
@@ -271,7 +272,7 @@ mod tests {
         c.submit(
             node,
             query(1),
-            RouteTarget::Serverless,
+            DeployMode::Serverless,
             delay,
             now,
             &mut queue,
@@ -290,7 +291,7 @@ mod tests {
         };
         assert_eq!(
             (to, q.id, route),
-            (node, QueryId::user(1), RouteTarget::Serverless)
+            (node, QueryId::user(1), DeployMode::Serverless)
         );
         c.deliver(to, q, route, fired.time);
         assert_eq!(c.nodes[1].serverless.container_count(FLOAT), 1);

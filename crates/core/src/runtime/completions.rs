@@ -4,13 +4,13 @@
 use super::faults::chaos_completion;
 use super::world::ServiceRt;
 use super::{Experiment, SimWorld};
-use crate::controller::{DeployMode, DeploymentController};
+use crate::controller::DeploymentController;
 use crate::monitor::ContentionMonitor;
-use amoeba_platform::{ExecutedOn, QueryOutcome, ServiceId};
+use amoeba_platform::{QueryOutcome, ServiceId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
-    RecoveryKind, RecoveryRecord, TelemetryEvent, TelemetrySink, ViolationCause, ViolationRecord,
-    WarmSampleRecord,
+    DeployMode, RecoveryKind, RecoveryRecord, TelemetryEvent, TelemetrySink, ViolationCause,
+    ViolationRecord, WarmSampleRecord,
 };
 
 /// One query finished. Chaos gets first refusal (spike traffic, meter
@@ -106,7 +106,7 @@ fn account<S: TelemetrySink + ?Sized>(
     // Serverless executions calibrate the controller (real and
     // shadow alike); the service time excludes queueing and cold
     // start.
-    if outcome.executed_on == ExecutedOn::Serverless && exp.variant.uses_pca() {
+    if outcome.executed_on == DeployMode::Serverless && exp.variant.uses_pca() {
         let b = &outcome.breakdown;
         let service_time = (b.auth + b.code_load + b.result_post + b.exec).as_secs_f64();
         let pressures = monitor.pressures();
@@ -126,7 +126,7 @@ fn account<S: TelemetrySink + ?Sized>(
     // stages exist only in the runtime, with their split budgets.
     let target = s.spec.qos_target_s;
     let latency_s = outcome.latency().as_secs_f64();
-    if outcome.executed_on == ExecutedOn::Serverless {
+    if outcome.executed_on == DeployMode::Serverless {
         s.serverless_queries += 1;
         if latency_s > target {
             s.serverless_violations += 1;
@@ -138,11 +138,7 @@ fn account<S: TelemetrySink + ?Sized>(
         sink.record(TelemetryEvent::Violation(ViolationRecord {
             t: now,
             service: idx,
-            platform: match outcome.executed_on {
-                ExecutedOn::Serverless => DeployMode::Serverless,
-                ExecutedOn::Iaas => DeployMode::Iaas,
-            }
-            .into(),
+            platform: outcome.executed_on,
             latency_s,
             target_s: target,
             cold_start_s,
@@ -150,7 +146,7 @@ fn account<S: TelemetrySink + ?Sized>(
             cause: ViolationCause::attribute(cold_start_s, queue_wait_s),
         }));
     }
-    if outcome.executed_on == ExecutedOn::Serverless
+    if outcome.executed_on == DeployMode::Serverless
         && outcome.breakdown.cold_start == SimDuration::ZERO
         && outcome.breakdown.queue_wait == SimDuration::ZERO
     {

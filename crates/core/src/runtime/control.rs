@@ -13,13 +13,13 @@ use super::fabric::fleet_utilization;
 use super::switching::{apply_engine_actions, DRAIN_TIMEOUT_S};
 use super::tenancy::PRESSURE_CAP;
 use super::{record_forecast, Ev, Experiment, SimWorld};
-use crate::controller::{prewarm_count, Decision, DeployMode};
-use crate::engine::{DeadlineAction, RouteTarget};
+use crate::controller::prewarm_count;
+use crate::engine::DeadlineAction;
 use amoeba_platform::{NodeId, Query, QueryId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
-    FaultKind, FaultRecord, NodeUtilRecord, RecoveryKind, RecoveryRecord, TelemetryEvent,
-    TelemetrySink, TickReason, TickRecord,
+    Decision, DeployMode, FaultKind, FaultRecord, NodeUtilRecord, RecoveryKind, RecoveryRecord,
+    TelemetryEvent, TelemetrySink, TickReason, TickRecord,
 };
 
 /// The pressures a decision is evaluated against: the locally measured
@@ -227,7 +227,7 @@ fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime,
             cluster.submit(
                 home,
                 q,
-                RouteTarget::Serverless,
+                DeployMode::Serverless,
                 SimDuration::ZERO,
                 now,
                 queue,
@@ -323,13 +323,13 @@ fn decide_service<S: TelemetrySink + ?Sized>(
             sink.record(TelemetryEvent::Tick(TickRecord {
                 t: now,
                 service: idx,
-                mode: mode.into(),
+                mode,
                 load_qps: tr.load_qps,
                 mu: tr.mu,
                 lambda_max: tr.lambda_max,
                 pressures: tr.pressures,
                 weights,
-                decision: Decision::Stay.into(),
+                decision: Decision::Stay,
                 reason: TickReason::InTransition,
             }));
             record_forecast(sink, now, idx, &tr);
@@ -349,13 +349,13 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         sink.record(TelemetryEvent::Tick(TickRecord {
             t: now,
             service: idx,
-            mode: mode.into(),
+            mode,
             load_qps: tr.load_qps,
             mu: tr.mu,
             lambda_max: tr.lambda_max,
             pressures: tr.pressures,
             weights,
-            decision: decision.into(),
+            decision,
             reason: tr.reason,
         }));
         record_forecast(sink, now, idx, &tr);
@@ -421,7 +421,7 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
             cluster.submit(
                 home,
                 query,
-                RouteTarget::Serverless,
+                DeployMode::Serverless,
                 SimDuration::ZERO,
                 now,
                 queue,

@@ -18,9 +18,9 @@
 //! [`Cluster`]: super::cluster::Cluster
 
 use super::cluster::NodeRt;
-use crate::engine::RouteTarget;
 use amoeba_platform::{NodeId, Scheduler, TopologyConfig};
 use amoeba_sim::SimDuration;
+use amoeba_telemetry::DeployMode;
 use amoeba_workload::MicroserviceSpec;
 
 /// Serverless max-utilization above which an Amoeba home node spills
@@ -45,9 +45,9 @@ impl Fabric {
 
     /// The node that executes a query of a service homed on `home` and
     /// routed to `route`. Anything but `home` is a spill.
-    pub(crate) fn place(&self, nodes: &[NodeRt], home: NodeId, route: RouteTarget) -> NodeId {
+    pub(crate) fn place(&self, nodes: &[NodeRt], home: NodeId, route: DeployMode) -> NodeId {
         match self.scheduler {
-            _ if route == RouteTarget::Iaas => home,
+            _ if route == DeployMode::Iaas => home,
             // Amoeba switches at the home node; serverless arrivals
             // spill only when the home pool saturates and a calmer
             // peer exists.
@@ -263,11 +263,11 @@ mod tests {
         run_dd(&mut ns[0], 8);
         run_dd(&mut ns[2], 4);
         let noah = fabric(Scheduler::Noah);
-        assert_eq!(noah.place(&ns, N0, RouteTarget::Serverless), n(1));
-        assert_eq!(noah.place(&ns, n(2), RouteTarget::Serverless), n(1));
+        assert_eq!(noah.place(&ns, N0, DeployMode::Serverless), n(1));
+        assert_eq!(noah.place(&ns, n(2), DeployMode::Serverless), n(1));
         // Equally calm pools: the lowest node id wins.
         let quiet = nodes(&[1.0, 1.0]);
-        assert_eq!(noah.place(&quiet, n(1), RouteTarget::Serverless), N0);
+        assert_eq!(noah.place(&quiet, n(1), DeployMode::Serverless), N0);
     }
 
     #[test]
@@ -281,7 +281,7 @@ mod tests {
             Scheduler::EdgeAware,
         ] {
             let f = fabric(scheduler);
-            assert_eq!(f.place(&ns, N0, RouteTarget::Iaas), N0, "{scheduler:?}");
+            assert_eq!(f.place(&ns, N0, DeployMode::Iaas), N0, "{scheduler:?}");
         }
     }
 
@@ -292,22 +292,22 @@ mod tests {
         let mut ns = nodes(&[0.5, 1.0]);
         run_dd(&mut ns[0], 4);
         assert!(pool_pressure(&ns[0]) < SPILL_THRESHOLD);
-        assert_eq!(amoeba.place(&ns, N0, RouteTarget::Serverless), N0);
+        assert_eq!(amoeba.place(&ns, N0, DeployMode::Serverless), N0);
         // Saturated home, calm peer: spill.
         let mut ns = nodes(&[0.5, 1.0]);
         run_dd(&mut ns[0], 12);
         assert!(pool_pressure(&ns[0]) > SPILL_THRESHOLD);
-        assert_eq!(amoeba.place(&ns, N0, RouteTarget::Serverless), n(1));
+        assert_eq!(amoeba.place(&ns, N0, DeployMode::Serverless), n(1));
         // A peer just as saturated is no refuge.
         let mut ns = nodes(&[0.5, 0.5]);
         run_dd(&mut ns[0], 12);
         run_dd(&mut ns[1], 12);
-        assert_eq!(amoeba.place(&ns, N0, RouteTarget::Serverless), N0);
+        assert_eq!(amoeba.place(&ns, N0, DeployMode::Serverless), N0);
         // Edge-aware placement never spills.
         let mut ns = nodes(&[0.5, 1.0]);
         run_dd(&mut ns[0], 12);
         let edge = fabric(Scheduler::EdgeAware);
-        assert_eq!(edge.place(&ns, N0, RouteTarget::Serverless), N0);
+        assert_eq!(edge.place(&ns, N0, DeployMode::Serverless), N0);
     }
 
     #[test]

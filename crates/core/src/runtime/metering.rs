@@ -2,11 +2,10 @@
 //! the monitor's Eq. 8 sample periods, and the usage/timeline sampler.
 
 use super::{Ev, Experiment, SimWorld};
-use crate::controller::DeployMode;
 use amoeba_meters::METER_QPS;
 use amoeba_platform::{Query, QueryId};
 use amoeba_sim::{SimDuration, SimTime};
-use amoeba_telemetry::{HeartbeatRecord, TelemetryEvent, TelemetrySink};
+use amoeba_telemetry::{DeployMode, HeartbeatRecord, TelemetryEvent, TelemetrySink};
 
 /// One contention-meter query goes out (deterministic 1 Hz per meter,
 /// phase-shifted so the three never collide, §VII-E).

@@ -3,11 +3,10 @@
 
 use super::{Experiment, SimWorld};
 use crate::baselines::SystemVariant;
-use crate::controller::DeployMode;
 use amoeba_metrics::{BillableUsage, CostModel, LatencyRecorder, TimeSeries, UsageSummary};
 use amoeba_platform::LatencyBreakdown;
 use amoeba_sim::{SimDuration, SimTime};
-use amoeba_telemetry::WarmSampleRecord;
+use amoeba_telemetry::{DeployMode, WarmSampleRecord};
 use amoeba_tenancy::{TenancySummary, TenantAccount, VendorLedger};
 
 /// Mean serverless latency breakdown (warm executions only) — Fig. 4.

@@ -4,12 +4,11 @@
 
 use super::cluster::Cluster;
 use super::SimWorld;
-use crate::controller::DeployMode;
 use crate::engine::EngineAction;
-use amoeba_platform::{ServiceId, TargetMode};
+use amoeba_platform::ServiceId;
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
-    FaultKind, FaultRecord, SwitchPhase, SwitchRecord, TelemetryEvent, TelemetrySink,
+    DeployMode, FaultKind, FaultRecord, SwitchPhase, SwitchRecord, TelemetryEvent, TelemetrySink,
 };
 
 /// How long the runtime waits for the old IaaS side's `IaasDrained`
@@ -31,13 +30,13 @@ fn update_drain_watchdog(
 ) {
     for a in actions {
         let (service, deadline) = match *a {
-            EngineAction::Release { service, target } if target.mode == TargetMode::Iaas => (
+            EngineAction::Release { service, target } if target.mode == DeployMode::Iaas => (
                 service,
                 Some(now + SimDuration::from_secs_f64(DRAIN_TIMEOUT_S)),
             ),
             EngineAction::Prepare {
                 service, target, ..
-            } if target.mode == TargetMode::Iaas => (service, None),
+            } if target.mode == DeployMode::Iaas => (service, None),
             _ => continue,
         };
         if let Some(slot) = drain_deadline.get_mut(service.raw() as usize) {
@@ -153,8 +152,8 @@ pub(crate) fn on_iaas_drained<S: TelemetrySink + ?Sized>(
         sink.record(TelemetryEvent::Switch(SwitchRecord {
             t: now,
             service: idx,
-            from: DeployMode::Iaas.into(),
-            to: DeployMode::Serverless.into(),
+            from: DeployMode::Iaas,
+            to: DeployMode::Serverless,
             phase: SwitchPhase::Drained,
             prewarm_count: 0,
             load_qps: controller.estimated_load(idx, now),

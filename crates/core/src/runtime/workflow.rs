@@ -20,10 +20,10 @@ use super::arrivals::route_and_submit;
 use super::cluster::Cluster;
 use super::world::ServiceRt;
 use super::Ev;
-use crate::controller::{DeployMode, DeploymentController};
+use crate::controller::DeploymentController;
 use crate::engine::HybridEngine;
 use amoeba_metrics::LatencyRecorder;
-use amoeba_platform::{ExecutedOn, Query, QueryId, QueryOutcome};
+use amoeba_platform::{Query, QueryId, QueryOutcome};
 use amoeba_sim::{EventQueue, SimTime};
 use amoeba_telemetry::{StageSpanRecord, TelemetryEvent, TelemetrySink};
 use amoeba_workload::WorkflowSpec;
@@ -255,11 +255,7 @@ pub(crate) fn on_stage_complete<S: TelemetrySink + ?Sized>(
             instance: seq,
             stage: s,
             service: outcome.query.service.raw() as usize,
-            platform: match outcome.executed_on {
-                ExecutedOn::Serverless => DeployMode::Serverless,
-                ExecutedOn::Iaas => DeployMode::Iaas,
-            }
-            .into(),
+            platform: outcome.executed_on,
             latency_s,
             budget_s: wf.budgets[s],
         }));
@@ -302,7 +298,7 @@ pub(crate) fn on_stage_complete<S: TelemetrySink + ?Sized>(
             service: sid,
             submitted: now,
         };
-        let target = engine.route(sid);
+        let target = engine.mode(sid);
         route_and_submit(query, target, now, engine, cluster, queue, sink);
     }
 }

@@ -11,10 +11,11 @@
 use crate::cluster::{ClusterEvent, Effect};
 use crate::config::IaasConfig;
 use crate::ids::ServiceId;
-use crate::query::{ExecutedOn, LatencyBreakdown, Query, QueryOutcome};
+use crate::query::{LatencyBreakdown, Query, QueryOutcome};
 use crate::slab::{QuerySlab, QueryTicket};
 use amoeba_queueing::{MmnModel, QosCheck};
 use amoeba_sim::{Distributions, SimDuration, SimRng, SimTime};
+use amoeba_telemetry::DeployMode;
 use amoeba_workload::MicroserviceSpec;
 use std::collections::VecDeque;
 
@@ -349,7 +350,7 @@ impl IaasPlatform {
         effects.push(Effect::Completed(QueryOutcome {
             query: run.query,
             completed: now,
-            executed_on: ExecutedOn::Iaas,
+            executed_on: DeployMode::Iaas,
             breakdown,
         }));
         self.dispatch(service, now, rng, &mut effects);
@@ -502,7 +503,7 @@ mod tests {
         // ~solo exec (0.0804s) + overhead, no cold start, no queueing.
         assert!(lat < 0.15, "latency {lat}");
         assert_eq!(outcomes[0].breakdown.cold_start, SimDuration::ZERO);
-        assert_eq!(outcomes[0].executed_on, ExecutedOn::Iaas);
+        assert_eq!(outcomes[0].executed_on, DeployMode::Iaas);
     }
 
     #[test]

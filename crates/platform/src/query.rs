@@ -2,6 +2,7 @@
 
 use crate::ids::{QueryId, ServiceId};
 use amoeba_sim::{SimDuration, SimTime};
+use amoeba_telemetry::DeployMode;
 
 /// A user query submitted to one of the platforms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,18 +13,6 @@ pub struct Query {
     pub service: ServiceId,
     /// When the user submitted it.
     pub submitted: SimTime,
-}
-
-/// Where a query was executed — the label on every outcome so experiment
-/// harnesses can split CDFs by deployment mode (Fig. 10's observation
-/// that Amoeba's curve hugs OpenWhisk's at low latencies and Nameko's in
-/// the tail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutedOn {
-    /// Ran in the shared serverless container pool.
-    Serverless,
-    /// Ran on the service's dedicated IaaS VM group.
-    Iaas,
 }
 
 /// The latency decomposition of Fig. 4: queuing, cold start, platform
@@ -75,8 +64,10 @@ pub struct QueryOutcome {
     pub query: Query,
     /// When it finished.
     pub completed: SimTime,
-    /// Which platform executed it.
-    pub executed_on: ExecutedOn,
+    /// Which platform executed it — the label harnesses split CDFs by
+    /// (Fig. 10: Amoeba's curve hugs OpenWhisk's at low latencies and
+    /// Nameko's in the tail).
+    pub executed_on: DeployMode,
     /// The latency decomposition.
     pub breakdown: LatencyBreakdown,
 }
@@ -139,7 +130,7 @@ mod tests {
         let o = QueryOutcome {
             query: q,
             completed: SimTime::from_secs(12),
-            executed_on: ExecutedOn::Serverless,
+            executed_on: DeployMode::Serverless,
             breakdown: LatencyBreakdown::default(),
         };
         assert_eq!(o.latency(), SimDuration::from_secs(2));

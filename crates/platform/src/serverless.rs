@@ -4,9 +4,10 @@
 use crate::cluster::{ClusterEvent, Effect};
 use crate::config::ServerlessConfig;
 use crate::ids::{ContainerId, ServiceId};
-use crate::query::{ExecutedOn, LatencyBreakdown, Query, QueryOutcome};
+use crate::query::{LatencyBreakdown, Query, QueryOutcome};
 use crate::resources::{LoadVector, SharedResources};
 use amoeba_sim::{Distributions, SimDuration, SimRng, SimTime};
+use amoeba_telemetry::DeployMode;
 use amoeba_workload::MicroserviceSpec;
 use std::collections::VecDeque;
 
@@ -601,7 +602,7 @@ impl ServerlessPlatform {
             effects.push(Effect::Completed(QueryOutcome {
                 query,
                 completed: now,
-                executed_on: ExecutedOn::Serverless,
+                executed_on: DeployMode::Serverless,
                 breakdown,
             }));
             let sid = query.service.raw() as usize;

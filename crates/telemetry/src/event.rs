@@ -28,7 +28,7 @@ pub use crate::codec::DecodeError;
 use crate::codec::{read_member, JsonField};
 use crate::trace::Trace;
 pub use crate::vocab::{
-    FaultKind, Mode, RecoveryKind, SwitchPhase, TickReason, TraceDecision, ViolationCause,
+    Decision, DeployMode, FaultKind, RecoveryKind, SwitchPhase, TickReason, ViolationCause,
 };
 
 /// A field's JSON key: its name, or the literal after `as`.
@@ -191,7 +191,7 @@ pub struct ServiceInfo {
     /// Background (contention-generating, pinned serverless) service?
     pub background: bool,
     /// Where it starts.
-    pub initial_mode: Mode,
+    pub initial_mode: DeployMode,
 }
 
 /// The header's per-service entries are the schema's only nested
@@ -240,7 +240,7 @@ telemetry_schema! {
         /// Service index (registration order).
         service: usize,
         /// Current deployment mode.
-        mode: Mode,
+        mode: DeployMode,
         /// Estimated load `V_u` (λ), queries/second.
         load_qps: f64,
         /// Eq. 6 predicted per-container capacity `μ`, queries/second.
@@ -252,7 +252,7 @@ telemetry_schema! {
         /// Eq. 6 weights `w`.
         weights: [f64; 3],
         /// The verdict.
-        decision: TraceDecision,
+        decision: Decision,
         /// Why.
         reason: TickReason,
     }
@@ -267,9 +267,9 @@ telemetry_schema! {
         /// Service index.
         service: usize,
         /// Mode being left.
-        from: Mode,
+        from: DeployMode,
         /// Mode being entered.
-        to: Mode,
+        to: DeployMode,
         /// Which protocol step.
         phase: SwitchPhase,
         /// Eq. 7 prewarm count (`Requested` toward serverless; else 0).
@@ -304,7 +304,7 @@ telemetry_schema! {
         /// Service index.
         service: usize,
         /// Where the query executed.
-        platform: Mode,
+        platform: DeployMode,
         /// End-to-end latency, seconds.
         latency_s: f64,
         /// The QoS target it missed, seconds.
@@ -414,7 +414,7 @@ telemetry_schema! {
         /// Runtime service index the stage executed as.
         service: usize,
         /// Platform the stage executed on.
-        platform: Mode,
+        platform: DeployMode,
         /// Stage latency (submit → complete), seconds.
         latency_s: f64,
         /// This stage's slice of the end-to-end budget, seconds.

@@ -45,11 +45,10 @@ pub mod vocab;
 mod schema_tests;
 
 pub use event::{
-    AdmissionRecord, DecodeError, FaultKind, FaultRecord, FleetSampleRecord, ForecastRecord,
-    HeartbeatRecord, Mode, NodeUtilRecord, PlacementRecord, RecoveryKind, RecoveryRecord,
+    AdmissionRecord, Decision, DecodeError, DeployMode, FaultKind, FaultRecord, FleetSampleRecord,
+    ForecastRecord, HeartbeatRecord, NodeUtilRecord, PlacementRecord, RecoveryKind, RecoveryRecord,
     ServiceInfo, ShardSpanRecord, StageSpanRecord, SwitchPhase, SwitchRecord, TelemetryEvent,
-    TickReason, TickRecord, TraceDecision, VendorSampleRecord, ViolationCause, ViolationRecord,
-    WarmSampleRecord,
+    TickReason, TickRecord, VendorSampleRecord, ViolationCause, ViolationRecord, WarmSampleRecord,
 };
 pub use sink::{MemorySink, NoopSink, TelemetrySink};
 pub use trace::{ServiceSummary, SwitchSpan, Trace, TraceSummary};

@@ -6,7 +6,7 @@ use std::fmt;
 
 use amoeba_sim::{SimDuration, SimTime};
 
-use crate::event::{DecodeError, Mode, SwitchPhase, TelemetryEvent, ViolationCause};
+use crate::event::{DecodeError, DeployMode, SwitchPhase, TelemetryEvent, ViolationCause};
 
 /// An ordered, append-only stream of [`TelemetryEvent`]s for one run.
 #[derive(Debug, Clone, Default)]
@@ -25,9 +25,9 @@ pub struct SwitchSpan {
     /// The switching service's index (registration order).
     pub service: usize,
     /// Mode being left.
-    pub from: Mode,
+    pub from: DeployMode,
     /// Mode being entered.
-    pub to: Mode,
+    pub to: DeployMode,
     /// Containers asked for ahead of the flip (Eq. 7).
     pub prewarm_count: u32,
     /// When the controller requested the switch (prewarm issued).
@@ -209,7 +209,7 @@ impl Trace {
                 SwitchPhase::ReleaseIssued => {
                     if let Some(&idx) = open.get(&r.service) {
                         spans[idx].release_issued = Some(r.t);
-                        if spans[idx].from != Mode::Iaas {
+                        if spans[idx].from != DeployMode::Iaas {
                             open.remove(&r.service);
                         }
                     }
@@ -218,7 +218,7 @@ impl Trace {
                     let idx = open.remove(&r.service).or_else(|| {
                         spans
                             .iter()
-                            .rposition(|s| s.service == r.service && s.from == Mode::Iaas)
+                            .rposition(|s| s.service == r.service && s.from == DeployMode::Iaas)
                     });
                     if let Some(idx) = idx {
                         spans[idx].drained = Some(r.t);
@@ -247,7 +247,7 @@ impl Trace {
         };
 
         // Initial modes + horizon from the header.
-        let mut mode_at: BTreeMap<usize, (Mode, SimTime)> = BTreeMap::new();
+        let mut mode_at: BTreeMap<usize, (DeployMode, SimTime)> = BTreeMap::new();
         let mut horizon = self
             .events
             .last()
@@ -267,10 +267,10 @@ impl Trace {
             }
         }
 
-        fn charge(s: &mut ServiceSummary, mode: Mode, dur: SimDuration) {
+        fn charge(s: &mut ServiceSummary, mode: DeployMode, dur: SimDuration) {
             match mode {
-                Mode::Iaas => s.time_in_iaas += dur,
-                Mode::Serverless => s.time_in_serverless += dur,
+                DeployMode::Iaas => s.time_in_iaas += dur,
+                DeployMode::Serverless => s.time_in_serverless += dur,
             }
         }
 
@@ -364,8 +364,8 @@ mod tests {
     fn switch(
         secs: f64,
         service: usize,
-        from: Mode,
-        to: Mode,
+        from: DeployMode,
+        to: DeployMode,
         phase: SwitchPhase,
     ) -> TelemetryEvent {
         TelemetryEvent::Switch(SwitchRecord {
@@ -394,7 +394,7 @@ mod tests {
             vec![ServiceInfo {
                 name: "dd".to_string(),
                 background: false,
-                initial_mode: Mode::Iaas,
+                initial_mode: DeployMode::Iaas,
             }],
         )
     }
@@ -405,20 +405,38 @@ mod tests {
             switch(
                 10.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::Requested,
             ),
-            switch(12.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Ack),
-            switch(12.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Flip),
             switch(
                 12.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Ack,
+            ),
+            switch(
+                12.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Flip,
+            ),
+            switch(
+                12.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::ReleaseIssued,
             ),
-            switch(19.5, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Drained),
+            switch(
+                19.5,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Drained,
+            ),
         ]);
         let spans = trace.switch_spans();
         assert_eq!(spans.len(), 1);
@@ -434,17 +452,29 @@ mod tests {
             switch(
                 10.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::Requested,
             ),
-            switch(11.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Ack),
-            switch(11.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Flip),
             switch(
                 11.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Ack,
+            ),
+            switch(
+                11.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Flip,
+            ),
+            switch(
+                11.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::ReleaseIssued,
             ),
         ]);
@@ -462,11 +492,17 @@ mod tests {
             switch(
                 10.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::Requested,
             ),
-            switch(11.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Aborted),
+            switch(
+                11.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Aborted,
+            ),
         ]);
         let s = trace.summary();
         assert_eq!(s.switches, 0);
@@ -484,33 +520,57 @@ mod tests {
             switch(
                 30.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::Requested,
             ),
-            switch(32.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Ack),
-            switch(32.0, 0, Mode::Iaas, Mode::Serverless, SwitchPhase::Flip),
             switch(
                 32.0,
                 0,
-                Mode::Iaas,
-                Mode::Serverless,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Ack,
+            ),
+            switch(
+                32.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Flip,
+            ),
+            switch(
+                32.0,
+                0,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
                 SwitchPhase::ReleaseIssued,
             ),
             switch(
                 70.0,
                 0,
-                Mode::Serverless,
-                Mode::Iaas,
+                DeployMode::Serverless,
+                DeployMode::Iaas,
                 SwitchPhase::Requested,
             ),
-            switch(74.0, 0, Mode::Serverless, Mode::Iaas, SwitchPhase::Ack),
-            switch(74.0, 0, Mode::Serverless, Mode::Iaas, SwitchPhase::Flip),
             switch(
                 74.0,
                 0,
-                Mode::Serverless,
-                Mode::Iaas,
+                DeployMode::Serverless,
+                DeployMode::Iaas,
+                SwitchPhase::Ack,
+            ),
+            switch(
+                74.0,
+                0,
+                DeployMode::Serverless,
+                DeployMode::Iaas,
+                SwitchPhase::Flip,
+            ),
+            switch(
+                74.0,
+                0,
+                DeployMode::Serverless,
+                DeployMode::Iaas,
                 SwitchPhase::ReleaseIssued,
             ),
         ]);
@@ -588,9 +648,9 @@ mod tests {
                     stage: i,
                     service: 3 + i,
                     platform: if i % 2 == 0 {
-                        Mode::Iaas
+                        DeployMode::Iaas
                     } else {
-                        Mode::Serverless
+                        DeployMode::Serverless
                     },
                     latency_s: 0.05 * (i + 1) as f64,
                     budget_s: 0.2,
@@ -605,7 +665,7 @@ mod tests {
         let last = back.stage_spans().last().unwrap();
         assert_eq!(last.stage, 3);
         assert_eq!(last.instance, 103);
-        assert_eq!(last.platform, Mode::Serverless);
+        assert_eq!(last.platform, DeployMode::Serverless);
     }
 
     #[test]
@@ -648,14 +708,20 @@ mod tests {
                 vec![ServiceInfo {
                     name: "float".to_string(),
                     background: true,
-                    initial_mode: Mode::Serverless,
+                    initial_mode: DeployMode::Serverless,
                 }],
             ),
-            switch(5.0, 0, Mode::Serverless, Mode::Iaas, SwitchPhase::Requested),
+            switch(
+                5.0,
+                0,
+                DeployMode::Serverless,
+                DeployMode::Iaas,
+                SwitchPhase::Requested,
+            ),
             TelemetryEvent::Violation(ViolationRecord {
                 t: t(6.0),
                 service: 0,
-                platform: Mode::Serverless,
+                platform: DeployMode::Serverless,
                 latency_s: 0.9,
                 target_s: 0.5,
                 cold_start_s: 0.4,

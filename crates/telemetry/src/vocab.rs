@@ -59,22 +59,25 @@ macro_rules! vocabulary {
 }
 
 vocabulary! {
-    /// Deployment mode, mirrored from `amoeba-core` so the trace layer
+    /// Deployment mode: where a service's queries are routed, which
+    /// platform a placement target addresses, and which platform ran a
+    /// query. The platforms, the engine, the controller and the trace
+    /// all use this one declaration; it lives here so the trace layer
     /// does not depend on the runtime it instruments.
-    pub enum Mode ("mode") {
+    pub enum DeployMode ("mode") {
         /// Dedicated VM group.
         Iaas = "iaas",
         /// Shared serverless pool.
         Serverless = "serverless",
     }
 
-    /// The controller's verdict, as traced.
-    pub enum TraceDecision ("decision") {
+    /// The controller's verdict for one service at one control tick.
+    pub enum Decision ("decision") {
         /// Keep the current mode.
         Stay = "stay",
-        /// Begin the switch to serverless.
+        /// Begin the switch to serverless (low load, contention acceptable).
         SwitchToServerless = "switch_to_serverless",
-        /// Begin the switch to IaaS.
+        /// Begin the switch to IaaS (load too high for the shared pool).
         SwitchToIaas = "switch_to_iaas",
     }
 

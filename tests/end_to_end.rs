@@ -3,7 +3,6 @@
 //! → engine → monitor → metrics) together.
 
 use amoeba::core::{DeployMode, Experiment, ServiceSetup, SystemVariant};
-use amoeba::platform::ExecutedOn;
 use amoeba::sim::SimDuration;
 use amoeba::workload::{benchmarks, DiurnalPattern, LoadTrace};
 
@@ -221,5 +220,5 @@ fn executed_on_labels_are_consistent_with_variant() {
         ow.services[0].breakdown.count > 0,
         "OpenWhisk produced no serverless breakdowns"
     );
-    let _ = ExecutedOn::Serverless; // exercised via breakdown counting
+    let _ = DeployMode::Serverless; // exercised via breakdown counting
 }

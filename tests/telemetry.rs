@@ -5,7 +5,7 @@
 
 use amoeba::core::{Experiment, ServiceSetup, SystemVariant};
 use amoeba::sim::SimDuration;
-use amoeba::telemetry::{Mode, SwitchPhase, TelemetryEvent, TickReason, Trace};
+use amoeba::telemetry::{DeployMode, SwitchPhase, TelemetryEvent, TickReason, Trace};
 use amoeba::workload::{benchmarks, DiurnalPattern, LoadTrace};
 
 fn scenario(day_s: f64) -> Vec<ServiceSetup> {
@@ -53,7 +53,7 @@ fn header_leads_the_stream_and_names_every_service() {
     assert_eq!(services.len(), 3);
     assert_eq!(services[0].name, "float");
     assert!(!services[0].background);
-    assert_eq!(services[0].initial_mode, Mode::Iaas);
+    assert_eq!(services[0].initial_mode, DeployMode::Iaas);
     assert!(services[1].background && services[2].background);
     assert_eq!(trace.service_name(0), "float");
 }
@@ -104,7 +104,7 @@ fn every_switch_has_a_complete_span() {
         let flip = s.flip.expect("completed span has a flip");
         assert!(s.requested <= flip, "protocol order");
         assert!(s.release_issued.is_some(), "old side released");
-        if s.to == Mode::Serverless {
+        if s.to == DeployMode::Serverless {
             assert!(s.prewarm_count >= 1, "Eq. 7 prewarms at least one");
             let ack = s.ack.expect("serverless switch awaits the ack");
             assert!(s.requested <= ack && ack <= flip);
@@ -129,7 +129,7 @@ fn nop_switches_flip_immediately_and_attribute_cold_starts() {
     let down: Vec<_> = trace
         .switch_spans()
         .into_iter()
-        .filter(|s| s.to == Mode::Serverless && s.completed())
+        .filter(|s| s.to == DeployMode::Serverless && s.completed())
         .collect();
     if run.services[0].switch_history.is_empty() {
         return;
@@ -167,7 +167,7 @@ fn heartbeats_and_violation_accounting_match_the_run() {
     for (idx, s) in run.services.iter().enumerate() {
         let sl = trace
             .violations()
-            .filter(|v| v.service == idx && v.platform == Mode::Serverless)
+            .filter(|v| v.service == idx && v.platform == DeployMode::Serverless)
             .count();
         assert_eq!(sl, s.serverless_violations, "{}", s.name);
     }
@@ -287,5 +287,5 @@ fn switch_records_carry_matching_modes() {
     assert!(trace
         .switch_events()
         .filter(|e| e.phase == SwitchPhase::Drained)
-        .all(|e| e.from == Mode::Iaas));
+        .all(|e| e.from == DeployMode::Iaas));
 }
