@@ -2,7 +2,7 @@
 //! Fig. 12 (switch timeline), Fig. 13 (usage timeline).
 
 use crate::report::{row, Report};
-use crate::scenarios::{foregrounds, run_cell, DEFAULT_DAY_S, DEFAULT_SEED};
+use crate::scenarios::{foregrounds, par_map, run_cell, DEFAULT_DAY_S, DEFAULT_SEED};
 use amoeba_core::{DeployMode, RunResult, SystemVariant};
 use amoeba_json::json;
 use amoeba_metrics::Cdf;
@@ -10,29 +10,12 @@ use amoeba_sim::{SimDuration, SimTime};
 
 /// Run the (benchmark × variant) grid in parallel.
 fn run_grid(variants: &[SystemVariant], day_s: f64, seed: u64) -> Vec<(String, Vec<RunResult>)> {
-    std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = foregrounds()
-            .into_iter()
-            .map(|b| {
-                let variants = variants.to_vec();
-                s.spawn(move || {
-                    let name = b.name.clone();
-                    let runs: Vec<RunResult> = variants
-                        .iter()
-                        .map(|&v| run_cell(v, b.clone(), day_s, seed))
-                        .collect();
-                    (name, runs)
-                })
-            })
+    par_map(foregrounds(), |b| {
+        let runs: Vec<RunResult> = variants
+            .iter()
+            .map(|&v| run_cell(v, b.clone(), day_s, seed))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+        (b.name, runs)
     })
 }
 

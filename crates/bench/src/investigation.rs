@@ -1,7 +1,7 @@
 //! §II investigation experiments: Table III, Fig. 2, Fig. 3, Fig. 4.
 
 use crate::report::{row, Report};
-use crate::scenarios::{run_cell, DEFAULT_DAY_S, DEFAULT_SEED};
+use crate::scenarios::{par_map, run_cell, DEFAULT_DAY_S, DEFAULT_SEED};
 use crate::steady::max_steady_qps;
 use amoeba_core::SystemVariant;
 use amoeba_json::json;
@@ -90,26 +90,11 @@ pub fn fig2(day_s: f64, seed: u64) -> Report {
         &w,
     ));
     let mut rows = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = benchmarks::standard_benchmarks()
-            .into_iter()
-            .map(|b| {
-                s.spawn(move || {
-                    (
-                        b.name.clone(),
-                        run_cell(SystemVariant::Nameko, b, day_s, seed),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results: Vec<_> = par_map(benchmarks::standard_benchmarks(), |b| {
+        (
+            b.name.clone(),
+            run_cell(SystemVariant::Nameko, b, day_s, seed),
+        )
     });
     for (name, run) in results {
         let u = &run.services[0].usage;
@@ -150,60 +135,45 @@ pub fn fig3(seed: u64) -> Report {
     ));
     let iaas_cfg = IaasConfig::default();
     let mut rows = Vec::new();
-    let results: Vec<_> = std::thread::scope(|scope| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = benchmarks::standard_benchmarks()
-            .into_iter()
-            .map(|b| {
-                scope.spawn(move || {
-                    // IaaS peak with its just-enough sizing.
-                    let iaas_peak = max_steady_qps(
-                        &b,
-                        SystemVariant::Nameko,
-                        ServerlessConfig::default(),
-                        &[],
-                        b.peak_qps * 0.3,
-                        b.peak_qps * 1.2,
-                        seed,
-                    );
-                    // Serverless restricted to the *same rented*
-                    // footprint: the cores and memory of the IaaS VM
-                    // group. Disk and NIC stay at the node's full rates —
-                    // Table II's deployments sit on identical hardware,
-                    // and what a maintainer rents is compute/memory, not
-                    // the NVMe.
-                    let cores = required_cores(&b, &iaas_cfg) as f64;
-                    let base = NodeConfig::default();
-                    let vms = (cores / iaas_cfg.cores_per_vm as f64).ceil();
-                    let mut cfg = ServerlessConfig::default();
-                    cfg.node = NodeConfig {
-                        cores,
-                        dram_mb: vms * iaas_cfg.vm_memory_mb,
-                        disk_bw_mbps: base.disk_bw_mbps,
-                        nic_bw_mbps: base.nic_bw_mbps,
-                    };
-                    cfg.pool_memory_mb = vms * iaas_cfg.vm_memory_mb;
-                    cfg.tenant_container_cap = cfg.memory_container_cap();
-                    let sl_peak = max_steady_qps(
-                        &b,
-                        SystemVariant::OpenWhisk,
-                        cfg,
-                        &[],
-                        1.0,
-                        b.peak_qps * 1.2,
-                        seed,
-                    );
-                    (b.name, iaas_peak, sl_peak)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results: Vec<_> = par_map(benchmarks::standard_benchmarks(), |b| {
+        // IaaS peak with its just-enough sizing.
+        let iaas_peak = max_steady_qps(
+            &b,
+            SystemVariant::Nameko,
+            ServerlessConfig::default(),
+            &[],
+            b.peak_qps * 0.3,
+            b.peak_qps * 1.2,
+            seed,
+        );
+        // Serverless restricted to the *same rented*
+        // footprint: the cores and memory of the IaaS VM
+        // group. Disk and NIC stay at the node's full rates —
+        // Table II's deployments sit on identical hardware,
+        // and what a maintainer rents is compute/memory, not
+        // the NVMe.
+        let cores = required_cores(&b, &iaas_cfg) as f64;
+        let base = NodeConfig::default();
+        let vms = (cores / iaas_cfg.cores_per_vm as f64).ceil();
+        let mut cfg = ServerlessConfig::default();
+        cfg.node = NodeConfig {
+            cores,
+            dram_mb: vms * iaas_cfg.vm_memory_mb,
+            disk_bw_mbps: base.disk_bw_mbps,
+            nic_bw_mbps: base.nic_bw_mbps,
+        };
+        cfg.pool_memory_mb = vms * iaas_cfg.vm_memory_mb;
+        cfg.tenant_container_cap = cfg.memory_container_cap();
+        let sl_peak = max_steady_qps(
+            &b,
+            SystemVariant::OpenWhisk,
+            cfg,
+            &[],
+            1.0,
+            b.peak_qps * 1.2,
+            seed,
+        );
+        (b.name, iaas_peak, sl_peak)
     });
     for (name, iaas_peak, sl_peak) in results {
         let ratio = if iaas_peak > 0.0 {

@@ -9,7 +9,7 @@
 //! consuming no more CPU.
 
 use crate::report::{row, Report};
-use crate::scenarios::standard_scenario;
+use crate::scenarios::{par_map, standard_scenario};
 use amoeba_core::{Experiment, RunResult, SystemVariant};
 use amoeba_json::json;
 use amoeba_platform::Scheduler;
@@ -87,16 +87,8 @@ pub fn multinode(day_s: f64, seed: u64, seeds: u64) -> Report {
         .iter()
         .flat_map(|&(s, v)| (0..seeds).map(move |i| (s, v, seed + i)))
         .collect();
-    let runs: Vec<(Scheduler, RunResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(s, v, sd)| scope.spawn(move || multinode_cell(s, v, day_s, sd)))
-            .collect();
-        jobs.iter()
-            .zip(handles)
-            .map(|(&(s, _, _), h)| (s, h.join().unwrap()))
-            .collect()
-    });
+    let runs: Vec<(Scheduler, RunResult)> =
+        par_map(jobs, |(s, v, sd)| (s, multinode_cell(s, v, day_s, sd)));
 
     r.line(format!(
         "4-node topology (capacity scales {NODE_SCALES:?}, {:.0} ms RTT), \

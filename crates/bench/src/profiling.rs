@@ -2,6 +2,7 @@
 //! surfaces.
 
 use crate::report::{row, Report};
+use crate::scenarios::par_map;
 use amoeba_core::profiler::profile_meter_empirical;
 use amoeba_json::json;
 use amoeba_meters::{cpu_meter, io_meter, net_meter, LatencySurface, ProfileCurve};
@@ -49,24 +50,10 @@ pub fn fig8(seed: u64) -> Report {
     };
     let sweep = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9];
     let mut out = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = (0..3)
-            .map(|res| {
-                s.spawn(move || {
-                    let analytic = meter_curve_analytic(&cfg, res);
-                    let measured = profile_meter_empirical(&cfg, res, &sweep, 12, seed);
-                    (res, analytic, measured)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results: Vec<_> = par_map(0..3, |res| {
+        let analytic = meter_curve_analytic(&cfg, res);
+        let measured = profile_meter_empirical(&cfg, res, &sweep, 12, seed);
+        (res, analytic, measured)
     });
     let w = [10, 12, 14];
     for (res, analytic, measured) in results {

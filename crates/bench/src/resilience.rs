@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::report::{row, Report};
-use crate::scenarios::standard_scenario;
+use crate::scenarios::{par_map, standard_scenario};
 use amoeba_chaos::FaultPlan;
 use amoeba_core::{Experiment, MonitorConfig, RunResult, SystemVariant};
 use amoeba_json::json;
@@ -84,18 +84,9 @@ pub fn resilience(day_s: f64, seed: u64) -> Report {
                 .flat_map(move |&v| (0..SEEDS).map(move |i| (v, lvl, seed + i)))
         })
         .collect();
-    let runs: Vec<(SystemVariant, f64, u64, RunResult, Trace)> = std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(v, lvl, sd)| s.spawn(move || resilience_cell(v, day_s, sd, lvl)))
-            .collect();
-        jobs.iter()
-            .zip(handles)
-            .map(|(&(v, lvl, sd), h)| {
-                let (run, trace) = h.join().unwrap();
-                (v, lvl, sd, run, trace)
-            })
-            .collect()
+    let runs: Vec<(SystemVariant, f64, u64, RunResult, Trace)> = par_map(jobs, |(v, lvl, sd)| {
+        let (run, trace) = resilience_cell(v, day_s, sd, lvl);
+        (v, lvl, sd, run, trace)
     });
 
     r.line(format!(

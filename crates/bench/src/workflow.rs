@@ -16,7 +16,7 @@
 //! while consuming less CPU than all-IaaS.
 
 use crate::report::{row, Report};
-use crate::scenarios::background_services;
+use crate::scenarios::{background_services, par_map};
 use amoeba_core::{Experiment, RunResult, SystemVariant, WorkflowSetup};
 use amoeba_json::json;
 use amoeba_sim::SimDuration;
@@ -124,16 +124,8 @@ pub fn workflow(day_s: f64, seed: u64, seeds: u64) -> Report {
         .iter()
         .flat_map(|&v| (0..seeds).map(move |i| (v, seed + i)))
         .collect();
-    let runs: Vec<(SystemVariant, RunResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(v, sd)| scope.spawn(move || workflow_cell(v, day_s, sd)))
-            .collect();
-        jobs.iter()
-            .zip(handles)
-            .map(|(&(v, _), h)| (v, h.join().unwrap()))
-            .collect()
-    });
+    let runs: Vec<(SystemVariant, RunResult)> =
+        par_map(jobs, |(v, sd)| (v, workflow_cell(v, day_s, sd)));
 
     let spec = media_pipeline();
     let stage_names: Vec<String> = spec.stages().iter().map(|s| s.name.clone()).collect();
