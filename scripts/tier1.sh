@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# With GOLDEN_BLESS set (to anything, even empty), the golden-trace
+# tests (tests/golden_trace.rs, tests/workflow_dag.rs) rewrite their
+# fixtures and pass, which would turn the byte-identity gate into a
+# no-op. Re-blessing is a deliberate step outside this gate.
+if [ -n "${GOLDEN_BLESS+set}" ]; then
+  echo "tier1: GOLDEN_BLESS is set; unset it before running the gate" >&2
+  echo "       (re-bless on purpose with: GOLDEN_BLESS=1 cargo test --test golden_trace)" >&2
+  exit 1
+fi
+
 echo "== file-size lint (non-test src <= ${MAX_SRC_LINES:=1000} lines) =="
 # The runtime god-loop grew to ~2000 lines before it was decomposed;
 # this gate keeps any source file from quietly becoming the next one.
