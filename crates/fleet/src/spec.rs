@@ -197,7 +197,7 @@ impl FleetSpec {
 
     /// Generate the fleet, admit it, partition it and build the cells.
     pub fn build(self) -> FleetRun {
-        let mut tenants = self.tenants.clone().unwrap_or_else(|| {
+        let mut tenants = self.tenants.unwrap_or_else(|| {
             FleetBuilder::new(self.seed)
                 .tenants(self.services)
                 .peak_scale(self.peak_scale.0, self.peak_scale.1)
@@ -226,14 +226,16 @@ impl FleetSpec {
 
         let mut per_cell: Vec<Vec<ServiceSetup>> = (0..self.cells).map(|_| Vec::new()).collect();
         let mut rejected = 0usize;
-        for (t, d) in tenants.iter().zip(&decisions) {
+        for (t, d) in tenants.into_iter().zip(&decisions) {
             if !d.admitted {
                 rejected += 1;
                 continue;
             }
-            per_cell[assign_cell(&t.spec.name, self.cells)].push(ServiceSetup {
-                spec: t.spec.clone(),
-                trace: LoadTrace::new(t.pattern.clone(), t.spec.peak_qps, self.day_s),
+            let cell = assign_cell(&t.spec.name, self.cells);
+            let trace = LoadTrace::new(t.pattern, t.spec.peak_qps, self.day_s);
+            per_cell[cell].push(ServiceSetup {
+                spec: t.spec,
+                trace,
                 background: false,
             });
         }

@@ -131,39 +131,29 @@ impl FleetBuilder {
     /// single-peak) so the fleet's peaks are spread around the clock.
     pub fn build(self) -> Vec<TenantSpec> {
         let bodies = standard_benchmarks();
+        let shapes = [DiurnalPattern::didi(), DiurnalPattern::single_peak(0.25)];
+        let (lo, hi) = self.peak_scale;
         let mut rng = SimRng::seed_from_u64(self.seed);
         (0..self.n)
             .map(|i| {
                 let base = &bodies[i % bodies.len()];
-                let mut spec = base.clone();
-                spec.name = format!("{}-t{i:02}", base.name);
-                let (lo, hi) = self.peak_scale;
-                spec.peak_qps = (base.peak_qps * rng.uniform_range(lo, hi)).max(self.peak_floor);
-                spec.qos_target_s = base.qos_target_s * self.qos_slack;
-                let shape = if i % 2 == 0 {
-                    DiurnalPattern::didi()
-                } else {
-                    DiurnalPattern::single_peak(0.25)
+                let spec = MicroserviceSpec {
+                    name: format!("{}-t{i:02}", base.name),
+                    demand: base.demand,
+                    qos_target_s: base.qos_target_s * self.qos_slack,
+                    qos_percentile: base.qos_percentile,
+                    peak_qps: (base.peak_qps * rng.uniform_range(lo, hi)).max(self.peak_floor),
+                    container_mem_mb: base.container_mem_mb,
                 };
                 let phase = rng.uniform_usize(24);
                 TenantSpec {
                     spec,
-                    pattern: rotate_hours(&shape, phase),
+                    pattern: shapes[i % 2].rotated_hours(phase),
                     pricing: self.pricing,
                 }
             })
             .collect()
     }
-}
-
-/// Rotate a diurnal pattern by a whole number of hours. Sampling the
-/// source at integer hours is exact (`at_day_fraction` interpolates
-/// between hourly breakpoints), so rotation loses nothing.
-fn rotate_hours(pattern: &DiurnalPattern, hours: usize) -> DiurnalPattern {
-    let hourly: Vec<f64> = (0..24)
-        .map(|h| pattern.at_day_fraction(((h + hours) % 24) as f64 / 24.0))
-        .collect();
-    DiurnalPattern::from_hourly(hourly)
 }
 
 #[cfg(test)]
@@ -257,7 +247,7 @@ mod tests {
     #[test]
     fn rotation_at_zero_is_identity() {
         let p = DiurnalPattern::didi();
-        let r = rotate_hours(&p, 0);
+        let r = p.rotated_hours(0);
         for h in 0..24 {
             let f = h as f64 / 24.0;
             assert!((p.at_day_fraction(f) - r.at_day_fraction(f)).abs() < 1e-12);
