@@ -22,8 +22,6 @@ pub struct BreakdownMeans {
     pub result_post_s: f64,
     /// Mean execution time, s.
     pub exec_s: f64,
-    /// Mean queueing time, s.
-    pub queue_s: f64,
 }
 
 impl BreakdownMeans {
@@ -34,7 +32,6 @@ impl BreakdownMeans {
         upd(&mut self.code_load_s, b.code_load.as_secs_f64());
         upd(&mut self.result_post_s, b.result_post.as_secs_f64());
         upd(&mut self.exec_s, b.exec.as_secs_f64());
-        upd(&mut self.queue_s, b.queue_wait.as_secs_f64());
         self.count += 1;
     }
 

@@ -53,11 +53,6 @@ impl EpochRun {
         }
     }
 
-    /// The time of the next pending event, `None` once drained.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.world.queue.peek_time()
-    }
-
     /// Dispatch every event strictly before `until`. Events at exactly
     /// `until` stay queued for the next epoch, so slicing the horizon
     /// into epochs never reorders events across the boundary.

@@ -115,11 +115,6 @@ impl ProfileCurve {
         }
         pts[pts.len() - 1].0
     }
-
-    /// The largest pressure the curve covers.
-    pub fn max_pressure(&self) -> f64 {
-        self.points[self.points.len() - 1].0
-    }
 }
 
 fn interp<T>(pts: &[T], x: f64, fx: impl Fn(&T) -> f64, fy: impl Fn(&T) -> f64) -> f64 {

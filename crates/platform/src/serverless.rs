@@ -317,11 +317,6 @@ impl ServerlessPlatform {
         self.containers.len() as u32
     }
 
-    /// Memory currently held by containers, MB.
-    pub fn memory_in_use_mb(&self) -> f64 {
-        self.containers.len() as f64 * self.cfg.container_memory_mb
-    }
-
     /// Queued (not yet assigned) queries.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
