@@ -2,10 +2,10 @@
 //! driven end to end through the epoch-barrier executor (cell worlds →
 //! shard workers → barrier exchange → aggregation) at 1/2/4/8 worker
 //! threads. The guarded figure is service-epochs advanced per
-//! wall-clock second; `results/BENCH_simcore.json` records the
-//! baseline per thread count. Telemetry is disabled (`run_quiet`) so
-//! the benchmark measures the simulation and the barrier machinery,
-//! not per-event serialisation.
+//! wall-clock second; the CHANGES.md entry of the data-plane kernel
+//! refactor holds its before/after medians. Telemetry is disabled
+//! (`run_quiet`) so the benchmark measures the simulation and the
+//! barrier machinery, not per-event serialisation.
 
 use amoeba_fleet::FleetSpec;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

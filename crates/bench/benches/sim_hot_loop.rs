@@ -2,8 +2,9 @@
 //! over a compressed 1-day Didi diurnal trace, end to end through the
 //! event-dispatch kernel (arrivals → platforms → effects → controller
 //! ticks → completions). The guarded figure is simulated queries per
-//! wall-clock second; `results/BENCH_simcore.json` records the baseline
-//! and refactors of the kernel must stay within 5% of it.
+//! wall-clock second; refactors of the kernel must stay within 5 % of
+//! it. The before/after medians of the data-plane kernel refactor are
+//! in its CHANGES.md entry.
 
 use amoeba_core::{Experiment, SystemVariant};
 use amoeba_sim::SimDuration;

@@ -72,8 +72,9 @@ cargo run --locked --release -q -p amoeba-bench --bin experiments -- fleet --smo
 
 # Single-sample bench smoke: asserts the hot-loop bench completes and
 # reports a median — the cheap canary for a kernel refactor that
-# compiles but hangs or panics only under the bench scenario. Real
-# medians (10 samples) are recorded in results/BENCH_simcore.json.
+# compiles but hangs or panics only under the bench scenario. Its
+# 10-sample medians before and after the data-plane kernel refactor
+# are in that refactor's CHANGES.md entry.
 echo "== bench smoke (sim_hot_loop, 1 sample) =="
 smoke=$(AMOEBA_BENCH_SAMPLES=1 cargo bench --locked -q -p amoeba-bench --bench sim_hot_loop 2>&1)
 echo "$smoke"
