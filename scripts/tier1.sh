@@ -17,10 +17,10 @@ fi
 echo "== file-size lint (non-test src <= ${MAX_SRC_LINES:=1000} lines) =="
 # The runtime god-loop grew to ~2000 lines before it was decomposed;
 # this gate keeps any source file from quietly becoming the next one.
-# Test-only files (tests/, benches/, *_tests.rs) and vendored
-# dev-harness stand-ins are exempt.
+# Test-only files (tests/, *_tests.rs) and the vendored dev-harness
+# stand-in are exempt.
 oversized=$(find crates src -name '*.rs' \
-  -not -path '*/tests/*' -not -path '*/benches/*' -not -name '*_tests.rs' \
+  -not -path '*/tests/*' -not -name '*_tests.rs' \
   -exec awk -v max="$MAX_SRC_LINES" 'END { if (NR > max) print FILENAME ": " NR " lines" }' {} \;)
 if [ -n "$oversized" ]; then
   echo "source files over $MAX_SRC_LINES lines (split them into modules):"
@@ -39,10 +39,10 @@ cargo clippy --locked --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --locked --workspace --release
 
-# Vendored dev-harness stand-ins (vendor/*) are not held to the doc gate.
+# The vendored dev-harness stand-in (vendor/proptest) is not held to the doc gate.
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --quiet \
-  --exclude proptest --exclude criterion
+  --exclude proptest
 
 echo "== cargo test --workspace =="
 cargo test --locked --workspace -q
@@ -69,18 +69,5 @@ cargo run --locked --release -q -p amoeba-bench --bin experiments -- multitenant
 
 echo "== experiments fleet --smoke =="
 cargo run --locked --release -q -p amoeba-bench --bin experiments -- fleet --smoke
-
-# Single-sample bench smoke: asserts the hot-loop bench completes and
-# reports a median — the cheap canary for a kernel refactor that
-# compiles but hangs or panics only under the bench scenario. Its
-# 10-sample medians before and after the data-plane kernel refactor
-# are in that refactor's CHANGES.md entry.
-echo "== bench smoke (sim_hot_loop, 1 sample) =="
-smoke=$(AMOEBA_BENCH_SAMPLES=1 cargo bench --locked -q -p amoeba-bench --bench sim_hot_loop 2>&1)
-echo "$smoke"
-echo "$smoke" | grep -q "sim_hot_loop/amoeba_day .* median" || {
-  echo "bench smoke failed: no amoeba_day median reported"
-  exit 1
-}
 
 echo "tier1: all green"
