@@ -5,32 +5,11 @@ use crate::report::{row, Report};
 use crate::scenarios::par_map;
 use amoeba_core::profiler::profile_meter_empirical;
 use amoeba_json::json;
-use amoeba_meters::{cpu_meter, io_meter, net_meter, LatencySurface, ProfileCurve};
+use amoeba_meters::{meter_curve, LatencySurface};
 use amoeba_platform::ServerlessConfig;
 use amoeba_workload::benchmarks;
 
 const RESOURCES: [&str; 3] = ["CPU", "IO", "Network"];
-
-fn meter_curve_analytic(cfg: &ServerlessConfig, resource: usize) -> ProfileCurve {
-    let m = [cpu_meter(), io_meter(), net_meter()][resource].clone();
-    let phases = [
-        m.demand.cpu_s,
-        m.demand.io_mb / cfg.per_flow_io_mbps,
-        m.demand.net_mb / cfg.per_flow_net_mbps,
-    ];
-    let overhead = cfg.auth_s
-        + cfg.code_load_base_s
-        + cfg.code_load_s_per_mb * m.demand.mem_mb
-        + cfg.result_post_s;
-    ProfileCurve::analytic(
-        phases,
-        resource,
-        overhead,
-        cfg.slowdown_kappa[resource],
-        cfg.max_utilization,
-        40,
-    )
-}
 
 /// Fig. 8: the latency-vs-pressure curve of each contention meter,
 /// analytic (closed form) with empirical platform measurements alongside.
@@ -51,7 +30,7 @@ pub fn fig8(seed: u64) -> Report {
     let sweep = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9];
     let mut out = Vec::new();
     let results: Vec<_> = par_map(0..3, |res| {
-        let analytic = meter_curve_analytic(&cfg, res);
+        let analytic = meter_curve(&cfg, res);
         let measured = profile_meter_empirical(&cfg, res, &sweep, 12, seed);
         (res, analytic, measured)
     });

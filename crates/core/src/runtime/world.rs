@@ -19,7 +19,7 @@ use crate::monitor::{sample_period_lower_bound, ContentionMonitor, MonitorConfig
 use crate::runtime::results::BreakdownMeans;
 use amoeba_chaos::FaultInjector;
 use amoeba_forecast::HoltWintersDiurnal;
-use amoeba_meters::{cpu_meter, io_meter, net_meter, ProfileCurve};
+use amoeba_meters::{cpu_meter, io_meter, meter_curve, net_meter};
 use amoeba_metrics::{BillableUsage, LatencyRecorder, TimeSeries, UsageMeter};
 use amoeba_platform::{Effect, IaasConfig, NodeId, ServiceId};
 use amoeba_sim::{Distributions, EventQueue, SimDuration, SimRng, SimTime};
@@ -383,26 +383,7 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         serverless.register(meter_specs[1].clone()),
         serverless.register(meter_specs[2].clone()),
     ];
-    let meter_curves: [ProfileCurve; 3] = [0, 1, 2].map(|r| {
-        let m = &meter_specs[r];
-        let phases = [
-            m.demand.cpu_s,
-            m.demand.io_mb / exp.serverless_cfg.per_flow_io_mbps,
-            m.demand.net_mb / exp.serverless_cfg.per_flow_net_mbps,
-        ];
-        let overhead = exp.serverless_cfg.auth_s
-            + exp.serverless_cfg.code_load_base_s
-            + exp.serverless_cfg.code_load_s_per_mb * m.demand.mem_mb
-            + exp.serverless_cfg.result_post_s;
-        ProfileCurve::analytic(
-            phases,
-            r,
-            overhead,
-            exp.serverless_cfg.slowdown_kappa[r],
-            exp.serverless_cfg.max_utilization,
-            40,
-        )
-    });
+    let meter_curves = [0, 1, 2].map(|r| meter_curve(&exp.serverless_cfg, r));
     let monitor = ContentionMonitor::new(
         MonitorConfig {
             use_pca: exp.variant.uses_pca(),

@@ -7,6 +7,8 @@
 //! measures 1.1 % / 0.5 % / 0.6 % CPU overhead for the CPU-memory / IO /
 //! network meters).
 
+use crate::ProfileCurve;
+use amoeba_platform::ServerlessConfig;
 use amoeba_workload::{DemandVector, MicroserviceSpec, ResourceKind};
 
 /// Background rate of each meter, queries/second (§VII-E).
@@ -73,6 +75,32 @@ pub fn meter_for(kind: ResourceKind) -> MicroserviceSpec {
     }
 }
 
+/// The analytic latency-vs-pressure curve (Fig. 8) of the meter for
+/// resource `resource` (0 CPU, 1 IO, 2 network) on a pool configured by
+/// `cfg`: the meter's solo phase times and fixed overheads through
+/// [`ProfileCurve::analytic`], 40 points up to the pool's maximum
+/// utilisation.
+pub fn meter_curve(cfg: &ServerlessConfig, resource: usize) -> ProfileCurve {
+    let m = [cpu_meter, io_meter, net_meter][resource]();
+    let phases = [
+        m.demand.cpu_s,
+        m.demand.io_mb / cfg.per_flow_io_mbps,
+        m.demand.net_mb / cfg.per_flow_net_mbps,
+    ];
+    let overhead = cfg.auth_s
+        + cfg.code_load_base_s
+        + cfg.code_load_s_per_mb * m.demand.mem_mb
+        + cfg.result_post_s;
+    ProfileCurve::analytic(
+        phases,
+        resource,
+        overhead,
+        cfg.slowdown_kappa[resource],
+        cfg.max_utilization,
+        40,
+    )
+}
+
 /// Approximate CPU overhead fraction a meter adds to a platform with
 /// `platform_cores` cores when run at [`METER_QPS`] — the §VII-E
 /// accounting (their node: 1.1 % CPU-memory, 0.5 % IO, 0.6 % network;
@@ -108,6 +136,27 @@ mod tests {
         assert!(io[1] > 0.95, "io meter shares {io:?}");
         let net = shares(&net_meter());
         assert!(net[2] > 0.95, "net meter shares {net:?}");
+    }
+
+    /// The closed-form curve starts where the platform's own model puts
+    /// an uncontended meter query, and is profiled up to the pool's
+    /// maximum utilisation.
+    #[test]
+    fn meter_curve_starts_at_the_platforms_solo_latency() {
+        let cfg = ServerlessConfig::default();
+        for (r, meter) in [cpu_meter(), io_meter(), net_meter()]
+            .into_iter()
+            .enumerate()
+        {
+            let mut pool = amoeba_platform::ServerlessPlatform::new(cfg);
+            let sid = pool.register(meter);
+            let solo = pool.solo_latency_seconds(sid);
+            let curve = meter_curve(&cfg, r);
+            let idle = curve.latency_at(0.0);
+            assert!((idle - solo).abs() <= 1e-12 * solo, "{r}: {idle} vs {solo}");
+            assert_eq!(curve.points().last().unwrap().0, cfg.max_utilization);
+            assert!(curve.latency_at(cfg.max_utilization) > solo, "{r}");
+        }
     }
 
     #[test]

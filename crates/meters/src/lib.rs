@@ -18,7 +18,7 @@ pub mod profile;
 pub mod surface;
 
 pub use functions::{
-    cpu_meter, io_meter, meter_for, meter_overhead_fraction, net_meter, METER_QPS,
+    cpu_meter, io_meter, meter_curve, meter_for, meter_overhead_fraction, net_meter, METER_QPS,
 };
 pub use profile::ProfileCurve;
 pub use surface::LatencySurface;
