@@ -252,9 +252,39 @@ pub struct RunResult {
     pub tenancy: Option<TenancySummary>,
 }
 
+/// Debug builds: every query a service (stages and tenants included),
+/// workflow or node took in has completed or failed. Only a drained
+/// calendar is audited; `EpochRun::finish` may fold a world whose
+/// queries are still in flight.
+fn audit_conservation(world: &SimWorld) {
+    for s in &world.services {
+        debug_assert_eq!(
+            s.submitted,
+            s.completed + s.failed,
+            "service {}",
+            s.spec.name
+        );
+    }
+    for wf in world.workflow.iter().flat_map(|w| &w.workflows) {
+        debug_assert_eq!(
+            wf.submitted,
+            wf.completed + wf.failed,
+            "workflow {}",
+            wf.spec.name()
+        );
+    }
+    for (i, n) in world.cluster.nodes.iter().enumerate() {
+        let t = &n.totals;
+        debug_assert_eq!(t.submitted, t.completed + t.failed, "node {i}");
+    }
+}
+
 /// The calendar has drained: fold the world's accumulated state into
 /// the public result types.
 pub(crate) fn finish(exp: &Experiment, world: SimWorld) -> RunResult {
+    if world.queue.is_empty() {
+        audit_conservation(&world);
+    }
     let SimWorld {
         cluster,
         controller,

@@ -41,6 +41,21 @@ pub(crate) fn run_pub(variant: SystemVariant, day_s: f64, seed: u64) -> RunResul
         .run()
 }
 
+/// The conservation audit in `results::finish` runs in debug builds: a
+/// drained world whose counts do not add up panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "service float")]
+fn finish_audits_conservation_of_a_drained_world() {
+    let exp = Experiment::builder(SystemVariant::Amoeba, SimDuration::from_secs(60), 1)
+        .services(scenario(benchmarks::float(), 60.0))
+        .build();
+    let mut world = world::setup(&exp, &mut NoopSink);
+    while step(&exp, &mut world, None, &mut NoopSink) {}
+    world.services[0].submitted += 1;
+    results::finish(&exp, world);
+}
+
 #[test]
 fn nameko_meets_qos_and_never_switches() {
     let mut r = run(SystemVariant::Nameko, 240.0, 1);
