@@ -1,24 +1,27 @@
-//! The simulated cluster: every node's platform pair in one vector,
-//! node 0 included, and the one path by which queries and engine
+//! The simulated cluster: every node's platform pair and contention
+//! monitor in one vector, and the one path by which queries and engine
 //! actions reach them.
 //!
 //! Every platform response, on any node, joins the node-tagged
 //! [`EffectBus`] that `effects::apply` drains after each dispatched
-//! event. Node 0 is the ingress: the node users talk to, whose capacity
-//! the controller models. Two rules single it out, both kept on purpose
-//! because changing either reorders random draws and so changes every
-//! multi-node result:
+//! event. One set of rules holds on every node:
 //!
-//! * work for node 0 is submitted on the spot, while work for any other
-//!   node arrives through an [`Ev::RemoteSubmit`] delivery event (with
-//!   zero delay for traffic that stays on its home node);
-//! * chaos faults and the contention meters act on node 0 only.
+//! * work submitted with no wire delay lands on the spot; only a spill
+//!   travels, as an [`Ev::RemoteSubmit`] delivery event one RTT later;
+//! * internal traffic (meter queries, shadow probes, chaos spikes)
+//!   reaches a node's pool through [`Cluster::probe`] and ends no drain;
+//! * each node runs its own three meters into its own monitor, and
+//!   chaos faults land on any node.
+//!
+//! The ingress ([`INGRESS`]) differs only in that its monitor is the
+//! one `RunResult` and the heartbeat telemetry report.
 
 use super::effects::EffectBus;
 use super::fabric::Fabric;
 use super::results::NodeTotals;
 use super::Ev;
 use crate::engine::EngineAction;
+use crate::monitor::ContentionMonitor;
 use amoeba_platform::{
     ClusterEvent, Effect, IaasConfig, IaasPlatform, NodeId, Query, ServerlessConfig,
     ServerlessPlatform, ServiceId,
@@ -27,19 +30,31 @@ use amoeba_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use amoeba_telemetry::DeployMode;
 use amoeba_workload::MicroserviceSpec;
 
-/// One node: its serverless pool, its IaaS fleet and its query totals.
+/// The node users talk to, whose monitor `RunResult` reports.
+pub(crate) const INGRESS: NodeId = NodeId::ZERO;
+
+/// One node: its serverless pool, its IaaS fleet, the contention
+/// monitor its meters feed and its query totals.
 pub(crate) struct NodeRt {
     pub(crate) serverless: ServerlessPlatform,
     pub(crate) iaas: IaasPlatform,
+    /// This pool's pressure and Eq. 6 weights, inferred from the
+    /// meters that run on it (§VI).
+    pub(crate) monitor: ContentionMonitor,
     /// User queries placed on, completed on and lost on this node.
     pub(crate) totals: NodeTotals,
 }
 
 impl NodeRt {
-    pub(crate) fn new(serverless: ServerlessConfig, iaas: IaasConfig) -> Self {
+    pub(crate) fn new(
+        serverless: ServerlessConfig,
+        iaas: IaasConfig,
+        monitor: ContentionMonitor,
+    ) -> Self {
         NodeRt {
             serverless: ServerlessPlatform::new(serverless),
             iaas: IaasPlatform::new(iaas),
+            monitor,
             totals: NodeTotals::default(),
         }
     }
@@ -72,7 +87,7 @@ impl NodeRt {
 /// Every node of the run, the placement policy over them, the bus their
 /// responses wait on and the random streams their platforms draw from.
 pub(crate) struct Cluster {
-    /// `nodes[i]` is `NodeId(i)`; `nodes[0]` is the ingress.
+    /// `nodes[i]` is `NodeId(i)`.
     pub(crate) nodes: Vec<NodeRt>,
     /// Placement, consulted only when there is more than one node.
     pub(crate) fabric: Fabric,
@@ -84,8 +99,8 @@ pub(crate) struct Cluster {
 
 impl Cluster {
     /// Submit `query` to `node` on `route`: the one entry point for
-    /// user queries, workflow hand-offs and re-queued work. Node 0 takes
-    /// it on the spot; any other node receives it through an
+    /// user queries, workflow hand-offs and re-queued work. With no
+    /// `delay` the node takes it on the spot; a spill arrives through an
     /// [`Ev::RemoteSubmit`] `delay` later.
     pub(crate) fn submit(
         &mut self,
@@ -96,7 +111,7 @@ impl Cluster {
         now: SimTime,
         queue: &mut EventQueue<Ev>,
     ) {
-        if node == NodeId::ZERO {
+        if delay == SimDuration::ZERO {
             self.deliver(node, query, route, now);
         } else {
             queue.push(now + delay, Ev::RemoteSubmit { node, query, route });
@@ -118,14 +133,14 @@ impl Cluster {
         self.bus.extend(node, eff);
     }
 
-    /// Internal traffic on the ingress — meter heartbeats, chaos spikes
-    /// and shadow probes mirrored there — goes straight to node 0's
-    /// pool and, unlike user traffic, ends no drain.
-    pub(crate) fn probe(&mut self, query: Query, now: SimTime) {
-        let eff = self.nodes[0]
+    /// Internal traffic — meter queries, chaos spikes and shadow
+    /// probes — goes straight to `node`'s pool and, unlike user
+    /// traffic, ends no drain.
+    pub(crate) fn probe(&mut self, node: NodeId, query: Query, now: SimTime) {
+        let eff = self.nodes[node.index()]
             .serverless
             .submit(query, now, &mut self.platform_rng);
-        self.bus.extend(NodeId::ZERO, eff);
+        self.bus.extend(node, eff);
     }
 
     /// Carry out one engine action on the node its target names.
@@ -162,6 +177,14 @@ impl Cluster {
     }
 }
 
+/// A node on `cfg` whose monitor has the default tuning.
+#[cfg(test)]
+pub(crate) fn test_node(cfg: ServerlessConfig) -> NodeRt {
+    let curves = [0, 1, 2].map(|r| amoeba_meters::meter_curve(&cfg, r));
+    let monitor = ContentionMonitor::new(crate::monitor::MonitorConfig::default(), curves);
+    NodeRt::new(cfg, IaasConfig::default(), monitor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +202,7 @@ mod tests {
         Cluster {
             nodes: (0..n)
                 .map(|_| {
-                    let mut rt = NodeRt::new(ServerlessConfig::default(), IaasConfig::default());
+                    let mut rt = test_node(ServerlessConfig::default());
                     rt.register(&benchmarks::float());
                     rt
                 })
@@ -247,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn node_zero_takes_work_now_and_other_nodes_by_delivery() {
+    fn every_node_takes_work_now_and_spills_by_delivery() {
         let mut c = cluster(2);
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let now = SimTime::from_secs(5);
@@ -257,44 +280,50 @@ mod tests {
             service: FLOAT,
             submitted: now,
         };
-        c.submit(
-            NodeId::ZERO,
-            query(0),
-            DeployMode::Serverless,
-            delay,
-            now,
-            &mut queue,
-        );
-        assert!(queue.is_empty(), "node 0 submits on the spot");
-        assert_eq!(c.nodes[0].serverless.container_count(FLOAT), 1);
-        assert!(pending_nodes(&mut c).iter().all(|&n| n == NodeId::ZERO));
-        let node = NodeId::new(1);
-        c.submit(
-            node,
-            query(1),
-            DeployMode::Serverless,
-            delay,
-            now,
-            &mut queue,
-        );
-        assert!(c.bus.is_idle(), "nothing reaches node 1 before delivery");
-        assert_eq!(c.nodes[1].serverless.container_count(FLOAT), 0);
-        let fired = queue.pop().expect("a delivery event");
-        assert_eq!(fired.time, now + delay);
-        let Ev::RemoteSubmit {
-            node: to,
-            query: q,
-            route,
-        } = fired.payload
-        else {
-            panic!("expected a delivery, got {:?}", fired.payload);
-        };
-        assert_eq!(
-            (to, q.id, route),
-            (node, QueryId::user(1), DeployMode::Serverless)
-        );
-        c.deliver(to, q, route, fired.time);
-        assert_eq!(c.nodes[1].serverless.container_count(FLOAT), 1);
-        assert!(pending_nodes(&mut c).iter().all(|&n| n == node));
+        for (i, node) in [NodeId::new(0), NodeId::new(1)].into_iter().enumerate() {
+            let seq = 2 * i as u64;
+            let here = SimDuration::ZERO;
+            c.submit(
+                node,
+                query(seq),
+                DeployMode::Serverless,
+                here,
+                now,
+                &mut queue,
+            );
+            assert!(
+                queue.is_empty(),
+                "node {i} takes undelayed work on the spot"
+            );
+            assert_eq!(c.nodes[i].serverless.container_count(FLOAT), 1);
+            assert!(pending_nodes(&mut c).iter().all(|&n| n == node));
+            c.submit(
+                node,
+                query(seq + 1),
+                DeployMode::Serverless,
+                delay,
+                now,
+                &mut queue,
+            );
+            assert!(c.bus.is_idle(), "nothing reaches node {i} before delivery");
+            assert_eq!(c.nodes[i].serverless.container_count(FLOAT), 1);
+            let fired = queue.pop().expect("a delivery event");
+            assert_eq!(fired.time, now + delay);
+            let Ev::RemoteSubmit {
+                node: to,
+                query: q,
+                route,
+            } = fired.payload
+            else {
+                panic!("expected a delivery, got {:?}", fired.payload);
+            };
+            assert_eq!(
+                (to, q.id, route),
+                (node, QueryId::user(seq + 1), DeployMode::Serverless)
+            );
+            c.deliver(to, q, route, fired.time);
+            assert_eq!(c.nodes[i].serverless.container_count(FLOAT), 2);
+            assert!(pending_nodes(&mut c).iter().all(|&n| n == node));
+        }
     }
 }

@@ -6,19 +6,21 @@ use super::world::ServiceRt;
 use super::{Experiment, SimWorld};
 use crate::controller::DeploymentController;
 use crate::monitor::ContentionMonitor;
-use amoeba_platform::{QueryOutcome, ServiceId};
+use amoeba_platform::{NodeId, QueryOutcome, ServiceId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     DeployMode, RecoveryKind, RecoveryRecord, TelemetryEvent, TelemetrySink, ViolationCause,
     ViolationRecord, WarmSampleRecord,
 };
 
-/// One query finished. Chaos gets first refusal (spike traffic, meter
-/// blackouts and outliers are swallowed there); re-queued crash
-/// victims log their recovery; everything else is accounted normally.
+/// One query finished on `node`. Chaos gets first refusal (spike
+/// traffic, meter blackouts and outliers are swallowed there);
+/// re-queued crash victims log their recovery; everything else is
+/// accounted normally, against `node`'s monitor.
 pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
+    node: NodeId,
     outcome: QueryOutcome,
     now: SimTime,
     sink: &mut S,
@@ -26,7 +28,6 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
     let SimWorld {
         services,
         controller,
-        monitor,
         engine,
         cluster,
         queue,
@@ -36,9 +37,10 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
         warmup_t,
         ..
     } = world;
+    let monitor = &mut cluster.nodes[node.index()].monitor;
     let mut swallowed = false;
     if let Some(ch) = chaos.as_mut() {
-        swallowed = chaos_completion(ch, &outcome, now, meter_ids, monitor);
+        swallowed = chaos_completion(ch, &outcome, now, node, meter_ids, monitor);
         // Almost every completion is an ordinary query; skip the map
         // probe entirely while no crash-requeued queries are pending.
         if !ch.crash_requeued.is_empty() {
@@ -76,8 +78,9 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
     }
 }
 
-/// The normal accounting path: meters feed the monitor, serverless
-/// executions calibrate the controller (§III), and post-warmup user
+/// The normal accounting path: meters feed the monitor of the node
+/// they ran on, serverless executions calibrate the controller against
+/// the monitor of the node that executed them (§III), and post-warmup user
 /// queries land in the latency recorder with QoS-violation and
 /// warm-breakdown attribution.
 #[allow(clippy::too_many_arguments)]

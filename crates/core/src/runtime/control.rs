@@ -9,6 +9,7 @@
 //! jitter-deferred [`on_service_decision`] handler that fires each
 //! service's decision at its own offset past the shared tick.
 
+use super::cluster::INGRESS;
 use super::fabric::fleet_utilization;
 use super::switching::{apply_engine_actions, DRAIN_TIMEOUT_S};
 use super::tenancy::PRESSURE_CAP;
@@ -22,23 +23,24 @@ use amoeba_telemetry::{
     TelemetryEvent, TelemetrySink, TickReason, TickRecord,
 };
 
-/// The pressures a decision is evaluated against: the locally measured
-/// signal (endogenous pool occupancy when tenancy asks for it, the
-/// profiled monitor otherwise) plus any cross-cell pressure injected by
-/// the fleet executor's epoch exchange, capped where the contention
-/// surfaces are profiled. With no external term — every serial run —
-/// this is exactly the legacy signal.
-pub(crate) fn effective_pressures(world: &SimWorld) -> [f64; 3] {
+/// The pressures a decision on `node` is evaluated against: the
+/// locally measured signal (endogenous pool occupancy when tenancy asks
+/// for it, the node's monitor otherwise) plus any cross-cell pressure
+/// injected by the fleet executor's epoch exchange, capped where the
+/// contention surfaces are profiled. With no external term — every
+/// serial run — this is exactly the measured signal.
+pub(crate) fn effective_pressures(world: &SimWorld, node: NodeId) -> [f64; 3] {
+    let rt = &world.cluster.nodes[node.index()];
     let base = match world.tenancy.as_ref() {
         Some(t) if t.endogenous => {
-            let u = world.cluster.nodes[0].serverless.utilization();
+            let u = rt.serverless.utilization();
             [
                 u[0].min(PRESSURE_CAP),
                 u[1].min(PRESSURE_CAP),
                 u[2].min(PRESSURE_CAP),
             ]
         }
-        _ => world.monitor.pressures(),
+        _ => rt.monitor.pressures(),
     };
     let ext = world.external_pressure;
     if ext == [0.0; 3] {
@@ -73,10 +75,11 @@ fn co_tenant_loads(world: &SimWorld, now: SimTime) -> Vec<Vec<(usize, f64)>> {
     by_node
 }
 
-/// One control period elapsed: reclaim overdue drains, snapshot the
-/// monitor, let the controller decide per unpinned service (riding out
-/// in-flight switches via the ack-deadline machinery), and mirror one
-/// shadow query per IaaS-mode service to keep calibration fed (§III).
+/// One control period elapsed: reclaim overdue drains, snapshot every
+/// node's monitor, let the controller decide per unpinned service on
+/// its home node's signal (riding out in-flight switches via the
+/// ack-deadline machinery), and mirror one shadow query per IaaS-mode
+/// service to keep calibration fed (§III).
 pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
@@ -84,12 +87,14 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
     sink: &mut S,
 ) {
     drain_watchdog(world, now, sink);
-    let pressures = effective_pressures(world);
-    world.pressure_sum[0] += pressures[0];
-    world.pressure_sum[1] += pressures[1];
-    world.pressure_sum[2] += pressures[2];
+    let pressures: Vec<[f64; 3]> = (0..world.cluster.nodes.len())
+        .map(|i| effective_pressures(world, NodeId::new(i)))
+        .collect();
+    let ingress = pressures[INGRESS.index()];
+    world.pressure_sum[0] += ingress[0];
+    world.pressure_sum[1] += ingress[1];
+    world.pressure_sum[2] += ingress[2];
     world.pressure_samples += 1;
-    let weights = world.monitor.weights();
     // Fleet utilization snapshot (multi-node runs only; single-node
     // traces keep their legacy event stream byte-identical).
     if sink.enabled() && world.cluster.nodes.len() > 1 {
@@ -151,8 +156,8 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
                 }
                 continue;
             }
-            let local = &others[world.engine.home(world.services[idx].sid).index()];
-            decide_service(exp, world, idx, now, pressures, weights, local, sink);
+            let home = world.engine.home(world.services[idx].sid).index();
+            decide_service(exp, world, idx, now, pressures[home], &others[home], sink);
         }
         shadow_probes(exp, world, now);
     }
@@ -176,11 +181,10 @@ pub(crate) fn on_service_decision<S: TelemetrySink + ?Sized>(
     if world.services[idx].pinned {
         return;
     }
-    let pressures = effective_pressures(world);
-    let weights = world.monitor.weights();
+    let home = world.engine.home(world.services[idx].sid);
+    let pressures = effective_pressures(world, home);
     let others = co_tenant_loads(world, now);
-    let local = &others[world.engine.home(world.services[idx].sid).index()];
-    decide_service(exp, world, idx, now, pressures, weights, local, sink);
+    decide_service(exp, world, idx, now, pressures, &others[home.index()], sink);
 }
 
 /// Drain watchdog: a released IaaS group whose drained ack is overdue
@@ -238,16 +242,15 @@ fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime,
 
 /// The per-service decision body, shared between the synchronous tick
 /// loop and the jitter-deferred path: ride out an in-flight switch via
-/// the ack-deadline machinery, otherwise consult the controller and
-/// apply whatever the engine wants done.
-#[allow(clippy::too_many_arguments)]
+/// the ack-deadline machinery, otherwise consult the controller, on the
+/// home node's `pressures` and monitor weights, and apply whatever the
+/// engine wants done.
 fn decide_service<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
     idx: usize,
     now: SimTime,
     pressures: [f64; 3],
-    weights: [f64; 3],
     others: &[(usize, f64)],
     sink: &mut S,
 ) {
@@ -259,11 +262,11 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         drain_deadline,
         wasted_prewarms,
         failed_switches,
-        n_max,
         ..
     } = world;
     let sid = services[idx].sid;
     let mode = engine.mode(sid);
+    let weights = cluster.nodes[engine.home(sid).index()].monitor.weights();
     if engine.in_transition(sid) {
         // Ack deadline: a lost prewarm/boot ack
         // must not park the switch forever — retry
@@ -364,16 +367,16 @@ fn decide_service<S: TelemetrySink + ?Sized>(
     let actions = match decision {
         Decision::Stay => Vec::new(),
         Decision::SwitchToServerless => {
-            let spec = &controller.model(idx).spec;
+            let model = controller.model(idx);
             // Prewarm for the load the decision
             // was evaluated at — in proactive
             // mode the forecast upper bound, so
             // the pool is sized for the load
             // arriving by the time it is warm.
-            let n = prewarm_count(tr.eval_qps, spec.qos_target_s);
+            let n = prewarm_count(tr.eval_qps, model.spec.qos_target_s);
             let n = ((n as f64 * exp.prewarm_factor).ceil() as u32)
                 .max(1)
-                .min(*n_max);
+                .min(model.n_max);
             engine.begin_switch(sid, DeployMode::Serverless, n, load, now, sink)
         }
         Decision::SwitchToIaas => engine.begin_switch(sid, DeployMode::Iaas, 0, load, now, sink),
@@ -392,7 +395,6 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
         controller,
         engine,
         cluster,
-        queue,
         ..
     } = world;
     for (idx, svc) in services.iter_mut().enumerate() {
@@ -409,23 +411,44 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
             submitted: now,
         };
         svc.next_query_id += 1;
-        // The probe mirrors onto the home node's pool — internal
-        // traffic, so no wire delay. On node 0 it is submitted as
-        // internal traffic and ends no drain; on any other node it
-        // lands through the delivery event like all of that node's
-        // work.
-        let home = engine.home(sid);
-        if home == NodeId::ZERO {
-            cluster.probe(query, now);
-        } else {
-            cluster.submit(
-                home,
-                query,
-                DeployMode::Serverless,
-                SimDuration::ZERO,
-                now,
-                queue,
-            );
-        }
+        // The probe mirrors onto the home node's pool as internal
+        // traffic: no wire delay, and it ends no drain.
+        cluster.probe(engine.home(sid), query, now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{settle, two_homes};
+    use super::super::world;
+    use super::*;
+    use crate::baselines::SystemVariant;
+    use amoeba_platform::{Scheduler, ServiceId};
+    use amoeba_telemetry::NoopSink;
+
+    #[test]
+    fn a_shadow_probe_on_a_peer_node_ends_no_drain() {
+        // Service 1 runs on IaaS on its home node 1, whose pool drains
+        // it. Two probes run at once; a draining pool retires the
+        // second container instead of idling it.
+        let exp = two_homes(SystemVariant::Amoeba, Scheduler::AmoebaPerNode);
+        let mut w = world::setup(&exp, &mut NoopSink);
+        let sid = ServiceId(1);
+        let home = NodeId::new(1);
+        assert_eq!(
+            (w.engine.home(sid), w.engine.mode(sid)),
+            (home, DeployMode::Iaas)
+        );
+        w.cluster.nodes[home.index()]
+            .serverless
+            .release_service(sid);
+        let now = SimTime::from_secs(1);
+        w.controller.record_arrival(1, now);
+        shadow_probes(&exp, &mut w, now);
+        shadow_probes(&exp, &mut w, now);
+        settle(&exp, &mut w, now, SimTime::from_secs(30));
+        let pool = &w.cluster.nodes[home.index()].serverless;
+        assert_eq!(pool.completed_count(), 2);
+        assert_eq!(pool.container_count(sid), 1, "the drain still holds");
     }
 }

@@ -67,7 +67,7 @@ pub(crate) fn apply<S: TelemetrySink + ?Sized>(
                     if !outcome.query.id.is_shadow() {
                         world.cluster.nodes[node.index()].totals.completed += 1;
                     }
-                    completions::on_completed(exp, world, outcome, now, sink);
+                    completions::on_completed(exp, world, node, outcome, now, sink);
                 }
                 Effect::PrewarmReady { service } => {
                     switching::on_prewarm_ready(world, service, now, sink);

@@ -191,7 +191,8 @@ fn edge_aware_homes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_platform::{ClusterEvent, Effect, IaasConfig, Query, QueryId, ServerlessConfig};
+    use crate::runtime::cluster::test_node;
+    use amoeba_platform::{ClusterEvent, Effect, Query, QueryId, ServerlessConfig};
     use amoeba_sim::{SimRng, SimTime};
     use amoeba_workload::benchmarks;
 
@@ -220,7 +221,7 @@ mod tests {
         (0..scales.len())
             .map(|i| {
                 let cfg = topology.scaled(&ServerlessConfig::default(), n(i));
-                let mut rt = NodeRt::new(cfg, IaasConfig::default());
+                let mut rt = test_node(cfg);
                 rt.register(&benchmarks::dd());
                 rt.register(&benchmarks::float());
                 rt

@@ -2,6 +2,7 @@
 //! event feed (whose VM boots chaos may fail or delay), the timed
 //! fault calendar, and injected pressure-spike traffic.
 
+use super::cluster::NodeRt;
 use super::{Ev, SimWorld};
 use crate::monitor::ContentionMonitor;
 use amoeba_chaos::{BootOutcome, FaultInjector, TimedFault};
@@ -20,10 +21,12 @@ use std::collections::BTreeMap;
 /// [`FaultPlan`]: amoeba_chaos::FaultPlan
 pub(crate) struct ChaosRt {
     pub(crate) injector: FaultInjector,
-    /// Meter heartbeats completing before this time are silently lost.
-    pub(crate) meter_outage_until: [SimTime; 3],
-    /// Pending one-shot latency corruptions per meter.
-    pub(crate) meter_outlier_pending: [u32; 3],
+    /// Meter heartbeats completing before this time are silently lost,
+    /// per meter: node `n`'s meter `m` is entry `3n + m`.
+    pub(crate) meter_outage_until: Vec<SimTime>,
+    /// Pending one-shot latency corruptions per meter, indexed as
+    /// `meter_outage_until`.
+    pub(crate) meter_outlier_pending: Vec<u32>,
     /// Queries re-queued after a container crash, keyed by
     /// (service, query id) — per-service query ids collide across
     /// services — with the time of the first crash, for recovery-time
@@ -37,12 +40,14 @@ pub(crate) struct ChaosRt {
 
 /// Handle the chaos-owned completions: spike traffic (swallowed
 /// whole), meter heartbeats lost in an outage window, and meter
-/// samples corrupted by a pending outlier. Returns true when the
-/// outcome must not reach the normal accounting path.
+/// samples corrupted by a pending outlier. `node` is where the query
+/// completed and `monitor` that node's. Returns true when the outcome
+/// must not reach the normal accounting path.
 pub(crate) fn chaos_completion(
     ch: &mut ChaosRt,
     outcome: &amoeba_platform::QueryOutcome,
     now: SimTime,
+    node: NodeId,
     meter_ids: &[ServiceId; 3],
     monitor: &mut ContentionMonitor,
 ) -> bool {
@@ -50,11 +55,12 @@ pub(crate) fn chaos_completion(
         return true;
     }
     if let Some(m) = meter_ids.iter().position(|&x| x == outcome.query.service) {
-        if now < ch.meter_outage_until[m] {
+        let g = 3 * node.index() + m;
+        if now < ch.meter_outage_until[g] {
             return true; // heartbeat lost in the blackout
         }
-        if ch.meter_outlier_pending[m] > 0 {
-            ch.meter_outlier_pending[m] -= 1;
+        if ch.meter_outlier_pending[g] > 0 {
+            ch.meter_outlier_pending[g] -= 1;
             let factor = ch.injector.plan().outlier_factor;
             monitor.observe_meter_latency(m, outcome.latency().as_secs_f64() * factor);
             return true;
@@ -63,10 +69,22 @@ pub(crate) fn chaos_completion(
     false
 }
 
-/// Deliver one platform-internal event to its node. On node 0, the
-/// only node chaos acts on, `VmBootDone` first runs the chaos boot
-/// gauntlet — a boot in flight may fail outright or land late by the
-/// plan's slow-boot multiplier (§V resilience).
+/// The node holding the `victim`-th container when every node's
+/// containers are counted in node order, and its index there.
+fn locate_container(nodes: &[NodeRt], mut victim: usize) -> (NodeId, usize) {
+    for (i, rt) in nodes.iter().enumerate() {
+        let n = rt.serverless.total_containers() as usize;
+        if victim < n {
+            return (NodeId::new(i), victim);
+        }
+        victim -= n;
+    }
+    unreachable!("crash victim beyond the cluster's containers")
+}
+
+/// Deliver one platform-internal event to its node. `VmBootDone` first
+/// runs the chaos boot gauntlet — a boot in flight may fail outright
+/// or land late by the plan's slow-boot multiplier (§V resilience).
 pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
     world: &mut SimWorld,
     node: NodeId,
@@ -81,7 +99,7 @@ pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
         horizon_t,
         ..
     } = world;
-    let mut chaos = chaos.as_mut().filter(|_| node == NodeId::ZERO);
+    let mut chaos = chaos.as_mut();
     let rt = &mut cluster.nodes[node.index()];
     let eff = match ev {
         ClusterEvent::VmBootDone { service } => {
@@ -181,20 +199,27 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
     } = world;
     if let Some(ch) = chaos.as_mut() {
         match fault {
-            // Chaos acts on node 0 only.
             TimedFault::ContainerCrash => {
-                let serverless = &mut cluster.nodes[0].serverless;
-                let total = serverless.total_containers() as usize;
+                // One draw picks the victim among every node's
+                // containers.
+                let total: usize = cluster
+                    .nodes
+                    .iter()
+                    .map(|rt| rt.serverless.total_containers() as usize)
+                    .sum();
                 let report = if total > 0 {
-                    let victim = ch.injector.pick(total);
-                    let (eff, report) =
-                        serverless.crash_container(victim, now, &mut cluster.platform_rng);
-                    cluster.bus.extend(NodeId::ZERO, eff);
-                    report
+                    let (node, victim) = locate_container(&cluster.nodes, ch.injector.pick(total));
+                    let (eff, report) = cluster.nodes[node.index()].serverless.crash_container(
+                        victim,
+                        now,
+                        &mut cluster.platform_rng,
+                    );
+                    cluster.bus.extend(node, eff);
+                    report.map(|r| (node, r))
                 } else {
-                    None // empty pool: the crash is a no-op
+                    None // empty pools: the crash is a no-op
                 };
-                if let Some(rep) = report {
+                if let Some((node, rep)) = report {
                     let idx = rep.service.raw() as usize;
                     let mut displaced = 0u64;
                     let mut dropped = 0u64;
@@ -216,7 +241,7 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
                             }
                             // The per-node conservation counters track
                             // every user query, warmup included.
-                            cluster.nodes[0].totals.failed += 1;
+                            cluster.nodes[node.index()].totals.failed += 1;
                         } else {
                             // Re-queue on the current route,
                             // keeping the original submit time
@@ -231,7 +256,18 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
                             } else {
                                 DeployMode::Serverless
                             };
-                            cluster.submit(NodeId::ZERO, q, target, SimDuration::ZERO, now, queue);
+                            // Serverless work stays on the pool it
+                            // crashed in; IaaS work goes to the home
+                            // node, the only one with the VM group.
+                            let to = match target {
+                                DeployMode::Serverless => node,
+                                DeployMode::Iaas => engine.home(q.service),
+                            };
+                            if to != node {
+                                cluster.nodes[node.index()].totals.submitted -= 1;
+                                cluster.nodes[to.index()].totals.submitted += 1;
+                            }
+                            cluster.submit(to, q, target, SimDuration::ZERO, now, queue);
                         }
                     }
                     if sink.enabled() {
@@ -246,7 +282,7 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
                 }
             }
             TimedFault::MeterOutage => {
-                let m = ch.injector.pick(3);
+                let m = ch.injector.pick(ch.meter_outage_until.len());
                 ch.meter_outage_until[m] =
                     now + SimDuration::from_secs_f64(ch.injector.plan().meter_outage_duration_s);
                 if sink.enabled() {
@@ -260,8 +296,8 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
                 }
             }
             TimedFault::MeterOutlier { meter } => {
-                if meter < 3 {
-                    ch.meter_outlier_pending[meter] += 1;
+                if let Some(pending) = ch.meter_outlier_pending.get_mut(meter) {
+                    *pending += 1;
                 }
                 if sink.enabled() {
                     sink.record(TelemetryEvent::Fault(FaultRecord {
@@ -301,7 +337,7 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
 }
 
 /// One query of an injected pressure spike arrives: pure synthetic
-/// load on the shared pool, excluded from every account.
+/// load on the victim's home pool, excluded from every account.
 ///
 /// In tenancy mode the spike executes as the dedicated interference
 /// service, so it *adds* pool load on top of the ambient signal; the
@@ -311,6 +347,7 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
 /// golden traces).
 pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime) {
     let SimWorld {
+        engine,
         cluster,
         chaos,
         tenancy,
@@ -327,6 +364,6 @@ pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime)
             submitted: now,
         };
         ch.spike_next_id += 1;
-        cluster.probe(q, now);
+        cluster.probe(engine.home(sid), q, now);
     }
 }

@@ -1,15 +1,16 @@
-//! Metering and sampling: the contention meters' heartbeat queries,
-//! the monitor's Eq. 8 sample periods, and the usage/timeline sampler.
+//! Metering and sampling: every node's contention-meter queries, the
+//! monitors' Eq. 8 sample periods, and the usage/timeline sampler.
 
+use super::cluster::INGRESS;
 use super::{Ev, Experiment, SimWorld};
 use amoeba_meters::METER_QPS;
-use amoeba_platform::{Query, QueryId};
+use amoeba_platform::{NodeId, Query, QueryId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{DeployMode, HeartbeatRecord, TelemetryEvent, TelemetrySink};
 
-/// One contention-meter query goes out (deterministic 1 Hz per meter,
-/// phase-shifted so the three never collide, §VII-E).
-pub(crate) fn on_meter_arrival(world: &mut SimWorld, meter: usize, now: SimTime) {
+/// One contention-meter query goes out on `node` (deterministic 1 Hz
+/// per meter, phase-shifted so a node's three never collide, §VII-E).
+pub(crate) fn on_meter_arrival(world: &mut SimWorld, node: NodeId, meter: usize, now: SimTime) {
     let SimWorld {
         cluster,
         queue,
@@ -25,29 +26,33 @@ pub(crate) fn on_meter_arrival(world: &mut SimWorld, meter: usize, now: SimTime)
         submitted: now,
     };
     *meter_next_id += 1;
-    cluster.probe(query, now);
+    cluster.probe(node, query, now);
     let next = now + SimDuration::from_secs_f64(1.0 / METER_QPS);
     if next < *horizon_t {
-        queue.push(next, Ev::MeterArrival { meter });
+        queue.push(next, Ev::MeterArrival { node, meter });
     }
 }
 
 /// End of one Eq. 8 sample period: deliver the heartbeat package to
-/// the monitor (pressure snapshot into the PCA window, weight refresh).
+/// every node's monitor (pressure snapshot into the PCA window, weight
+/// refresh). The telemetry record is the ingress monitor's.
 pub(crate) fn on_heartbeat<S: TelemetrySink + ?Sized>(
     world: &mut SimWorld,
     now: SimTime,
     sink: &mut S,
 ) {
     let SimWorld {
-        monitor,
+        cluster,
         queue,
         horizon_t,
         heartbeat_period,
         ..
     } = world;
-    monitor.heartbeat();
+    for rt in &mut cluster.nodes {
+        rt.monitor.heartbeat();
+    }
     if sink.enabled() {
+        let monitor = &cluster.nodes[INGRESS.index()].monitor;
         sink.record(TelemetryEvent::Heartbeat(HeartbeatRecord {
             t: now,
             meter_latency_s: monitor.smoothed_latencies(),
@@ -79,15 +84,11 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
     } = world;
     let dt = now.duration_since(*last_usage_sample).as_secs_f64();
     *last_usage_sample = now;
-    let (node0, others) = cluster.nodes.split_first().expect("at least one node");
-    let serverless = &node0.serverless;
     for (idx, s) in services.iter_mut().enumerate() {
-        // Fleet-wide aggregates: node 0, then every other node.
-        let (mut iaas_cores, mut iaas_mem) = node0.iaas.allocation(s.sid);
-        let mut busy_iaas = node0.iaas.busy_cores(s.sid);
-        let mut containers = serverless.container_count(s.sid) as f64;
-        let mut busy_count = serverless.busy_count(s.sid) as f64;
-        for rt in others {
+        // Fleet-wide aggregates over every node.
+        let (mut iaas_cores, mut iaas_mem, mut busy_iaas) = (0.0, 0.0, 0.0);
+        let (mut containers, mut busy_count) = (0.0, 0.0);
+        for rt in &cluster.nodes {
             let (c, m) = rt.iaas.allocation(s.sid);
             iaas_cores += c;
             iaas_mem += m;
@@ -102,7 +103,9 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
         let cores = iaas_cores + containers * exp.serverless_cfg.container_core_share;
         let mem = iaas_mem + containers * exp.serverless_cfg.container_memory_mb;
         s.usage.set_allocation(now, cores, mem);
-        let rates = serverless.service_rates(s.sid);
+        // Rates follow from the spec alone, so every node's agree.
+        let home = engine.home(s.sid).index();
+        let rates = cluster.nodes[home].serverless.service_rates(s.sid);
         let busy_sl = busy_count * rates.cpu_cores;
         s.usage.set_consumption(now, busy_iaas + busy_sl);
         s.cores_timeline.push(now, cores);
@@ -123,10 +126,11 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
         s.load_timeline
             .push(now, controller.estimated_load(idx, now));
     }
-    for (m, &mid) in meter_ids.iter().enumerate() {
-        let rates = serverless.service_rates(mid);
-        *meter_core_seconds += serverless.busy_count(mid) as f64 * rates.cpu_cores * dt;
-        let _ = m;
+    for rt in &cluster.nodes {
+        for &mid in meter_ids.iter() {
+            let rates = rt.serverless.service_rates(mid);
+            *meter_core_seconds += rt.serverless.busy_count(mid) as f64 * rates.cpu_cores * dt;
+        }
     }
     let next = now + exp.usage_sample_period;
     if next < *horizon_t {

@@ -282,7 +282,7 @@ fn dispatch<S: TelemetrySink + ?Sized>(
 ) {
     match ev {
         Ev::Arrival { idx } => arrivals::on_arrival(world, idx, now, sink),
-        Ev::MeterArrival { meter } => metering::on_meter_arrival(world, meter, now),
+        Ev::MeterArrival { node, meter } => metering::on_meter_arrival(world, node, meter, now),
         Ev::ControlTick => control::on_control_tick(exp, world, now, sink),
         Ev::ServiceDecision { idx } => control::on_service_decision(exp, world, idx, now, sink),
         Ev::Heartbeat => metering::on_heartbeat(world, now, sink),
@@ -308,6 +308,7 @@ pub(crate) enum Ev {
         idx: usize,
     },
     MeterArrival {
+        node: NodeId,
         meter: usize,
     },
     ControlTick,
@@ -324,9 +325,8 @@ pub(crate) enum Ev {
     SpikeQuery {
         sid: ServiceId,
     },
-    /// A query lands on a node other than node 0 after its wire delay
-    /// (zero for home traffic), carrying the route decided when it was
-    /// placed (multi-node only).
+    /// A spilled query lands on its node after the wire delay, carrying
+    /// the route decided when it was placed (multi-node only).
     RemoteSubmit {
         node: NodeId,
         query: Query,
@@ -483,8 +483,16 @@ impl ExperimentBuilder {
     }
 
     /// Finish: the described experiment, ready to [`Experiment::run`].
+    /// Panics if a non-no-op tenancy setup is attached to more than one
+    /// node: tenancy's admission and vendor tick model one pool.
     pub fn build(self) -> Experiment {
-        self.inner
+        let exp = self.inner;
+        assert!(
+            exp.topology.node_count() == 1 || exp.tenancy.as_ref().is_none_or(|t| t.is_noop()),
+            "tenancy runs on one node, not {}",
+            exp.topology.node_count()
+        );
+        exp
     }
 }
 

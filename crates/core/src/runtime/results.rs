@@ -1,6 +1,7 @@
 //! Result assembly: the public result types and the fold from a
 //! drained [`SimWorld`] into a [`RunResult`].
 
+use super::cluster::INGRESS;
 use super::{Experiment, SimWorld};
 use crate::baselines::SystemVariant;
 use amoeba_metrics::{BillableUsage, CostModel, LatencyRecorder, TimeSeries, UsageSummary};
@@ -226,12 +227,12 @@ pub struct RunResult {
     pub services: Vec<ServiceResult>,
     /// Per-workflow end-to-end results (multi-stage workflows only).
     pub workflows: Vec<WorkflowResult>,
-    /// Mean CPU fraction of the node consumed by the three contention
-    /// meters (§VII-E overhead accounting).
+    /// Mean CPU fraction of the cluster's cores consumed by every
+    /// node's three contention meters (§VII-E overhead accounting).
     pub meter_cpu_overhead: f64,
-    /// Final Eq. 6 weights.
+    /// The ingress node's final Eq. 6 weights.
     pub final_weights: [f64; 3],
-    /// Mean measured pressures over the run.
+    /// The ingress node's mean measured pressures over the run.
     pub mean_pressures: [f64; 3],
     /// Total cold starts on the serverless platform.
     pub cold_starts: u64,
@@ -288,7 +289,6 @@ pub(crate) fn finish(exp: &Experiment, world: SimWorld) -> RunResult {
     let SimWorld {
         cluster,
         controller,
-        monitor,
         engine,
         services,
         workflow,
@@ -301,7 +301,7 @@ pub(crate) fn finish(exp: &Experiment, world: SimWorld) -> RunResult {
         horizon_t,
         ..
     } = world;
-    let final_weights = monitor.weights();
+    let final_weights = cluster.nodes[INGRESS.index()].monitor.weights();
     let mean_pressures = if pressure_samples > 0 {
         [
             pressure_sum[0] / pressure_samples as f64,
@@ -311,7 +311,12 @@ pub(crate) fn finish(exp: &Experiment, world: SimWorld) -> RunResult {
     } else {
         [0.0; 3]
     };
-    let node_core_seconds = exp.serverless_cfg.node.cores * exp.horizon.as_secs_f64();
+    let cores: f64 = cluster
+        .nodes
+        .iter()
+        .map(|n| n.serverless.config().node.cores)
+        .sum();
+    let node_core_seconds = cores * exp.horizon.as_secs_f64();
     let mut results: Vec<ServiceResult> = services
         .into_iter()
         .map(|s| ServiceResult {

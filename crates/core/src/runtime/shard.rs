@@ -15,6 +15,7 @@
 //! ([`EpochRun::set_external_pressure`], [`EpochRun::set_service_caps`])
 //! — the only channel by which cells interact.
 
+use super::fabric::fleet_utilization;
 use super::{results, step, world, Experiment, RunResult};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TelemetrySink;
@@ -74,10 +75,11 @@ impl EpochRun {
         self.events
     }
 
-    /// This cell's serverless pool occupancy per resource — the signal
-    /// the epoch exchange aggregates across cells.
+    /// This cell's serverless pool occupancy per resource, the mean
+    /// over its nodes — the signal the epoch exchange aggregates across
+    /// cells.
     pub fn pool_utilization(&self) -> [f64; 3] {
-        self.world.cluster.nodes[0].serverless.utilization()
+        fleet_utilization(&self.world.cluster.nodes).0
     }
 
     /// Inject cross-cell pool pressure for the next epoch: added to the
@@ -88,11 +90,13 @@ impl EpochRun {
     }
 
     /// Fleet-level reclamation: clamp (or restore, with `None`) every
-    /// managed service's container cap on this cell's pool.
+    /// managed service's container cap on every pool of this cell.
     pub fn set_service_caps(&mut self, cap: Option<u32>) {
         let w = &mut self.world;
-        for s in &w.services {
-            w.cluster.nodes[0].serverless.set_tenant_cap(s.sid, cap);
+        for rt in &mut w.cluster.nodes {
+            for s in &w.services {
+                rt.serverless.set_tenant_cap(s.sid, cap);
+            }
         }
     }
 

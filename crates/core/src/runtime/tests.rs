@@ -1,4 +1,5 @@
 use super::*;
+use amoeba_platform::QueryId;
 use amoeba_workload::{benchmarks, DiurnalPattern};
 
 /// The standard scenario: one foreground benchmark plus the paper's
@@ -30,6 +31,40 @@ fn scenario(fg: MicroserviceSpec, day_s: f64) -> Vec<ServiceSetup> {
 
 fn run(variant: SystemVariant, day_s: f64, seed: u64) -> RunResult {
     run_pub(variant, day_s, seed)
+}
+
+/// Two foreground float services on two full-size nodes 40 ms apart,
+/// meters off and a no-op fault plan attached: round-robin homes put
+/// service 1 on node 1.
+pub(crate) fn two_homes(variant: SystemVariant, scheduler: Scheduler) -> Experiment {
+    let fg = || ServiceSetup {
+        spec: benchmarks::float(),
+        trace: LoadTrace::new(DiurnalPattern::didi(), 1.0, 600.0),
+        background: false,
+    };
+    Experiment::builder(variant, SimDuration::from_secs(600), 1)
+        .services(vec![fg(), fg()])
+        .nodes(2)
+        .inter_node_latency(SimDuration::from_millis(40))
+        .scheduler(scheduler)
+        .run_meters(false)
+        .fault_plan(FaultPlan::default())
+        .build()
+}
+
+/// Apply what is on the effect bus at `now`, then advance `world` to
+/// `until` carrying out only platform progress and deliveries.
+/// Arrivals, ticks and faults are dropped, so a test sees just the work
+/// it put in flight.
+pub(crate) fn settle(exp: &Experiment, world: &mut SimWorld, now: SimTime, until: SimTime) {
+    effects::apply(exp, world, now, &mut NoopSink);
+    while let Some(t) = world.queue.peek_time().filter(|&t| t < until) {
+        let fired = world.queue.pop().expect("an event at the peeked time");
+        if matches!(fired.payload, Ev::Platform { .. } | Ev::RemoteSubmit { .. }) {
+            dispatch(exp, world, fired.payload, t, &mut NoopSink);
+            effects::apply(exp, world, t, &mut NoopSink);
+        }
+    }
 }
 
 pub(crate) fn run_pub(variant: SystemVariant, day_s: f64, seed: u64) -> RunResult {
@@ -244,7 +279,6 @@ fn nop_violates_qos_via_cold_starts() {
 
 mod multinode {
     use super::*;
-    use amoeba_platform::Scheduler;
 
     const SCHEDULERS: [Scheduler; 3] = [
         Scheduler::AmoebaPerNode,
@@ -434,6 +468,57 @@ mod multinode {
                 assert_eq!(x.completed, y.completed, "{scheduler:?} {}", x.name);
             }
         }
+    }
+
+    #[test]
+    fn a_spill_onto_node_zero_pays_the_rtt_and_requeues_home_after_a_crash() {
+        // Nameko routes service 1 to IaaS on its home node 1. One of its
+        // queries, sent serverless before the route flipped, spills onto
+        // node 0 under NOAH and crashes there.
+        let exp = two_homes(SystemVariant::Nameko, Scheduler::Noah);
+        let mut w = world::setup(&exp, &mut NoopSink);
+        let sid = ServiceId(1);
+        let home = NodeId::new(1);
+        assert_eq!(
+            (w.engine.home(sid), w.engine.mode(sid)),
+            (home, DeployMode::Iaas)
+        );
+        let t0 = SimTime::ZERO;
+        let query = Query {
+            id: QueryId::user(0),
+            service: sid,
+            submitted: t0,
+        };
+        let route = DeployMode::Serverless;
+        arrivals::route_and_submit(
+            query,
+            route,
+            t0,
+            &w.engine,
+            &mut w.cluster,
+            &mut w.queue,
+            &mut NoopSink,
+        );
+        // The spill reaches node 0 exactly one RTT after placement.
+        let rtt = t0 + w.cluster.fabric.spill_delay;
+        settle(&exp, &mut w, t0, rtt);
+        assert_eq!(w.cluster.nodes[0].serverless.container_count(sid), 0);
+        let t = SimTime::from_secs(1);
+        settle(&exp, &mut w, rtt, t);
+        assert_eq!(w.cluster.nodes[0].serverless.container_count(sid), 1);
+        faults::on_chaos(&mut w, TimedFault::ContainerCrash, t, &mut NoopSink);
+        let requeued = |w: &SimWorld| w.chaos.as_ref().map(|c| c.crash_requeued.len());
+        assert_eq!(requeued(&w), Some(1), "the crash displaced the query");
+        settle(&exp, &mut w, t, SimTime::from_secs(60));
+        assert_eq!(requeued(&w), Some(0), "the re-queued query completed");
+        assert_eq!(w.cluster.nodes[1].iaas.completed_count(), 1);
+        // The query counts where it completed; node 0 keeps only the
+        // record that it once received a spill.
+        let totals = w.cluster.nodes.iter().map(|n| n.totals);
+        let counts: Vec<_> = totals
+            .map(|t| (t.submitted, t.completed, t.failed, t.spills))
+            .collect();
+        assert_eq!(counts, [(0, 0, 0, 1), (1, 1, 0, 0)]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use amoeba_chaos::FaultInjector;
 use amoeba_forecast::HoltWintersDiurnal;
 use amoeba_meters::{cpu_meter, io_meter, meter_curve, net_meter};
 use amoeba_metrics::{BillableUsage, LatencyRecorder, TimeSeries, UsageMeter};
-use amoeba_platform::{Effect, IaasConfig, NodeId, ServiceId};
+use amoeba_platform::{IaasConfig, NodeId, ServiceId};
 use amoeba_sim::{Distributions, EventQueue, SimDuration, SimRng, SimTime};
 use amoeba_telemetry::{AdmissionRecord, DeployMode, ServiceInfo, TelemetryEvent, TelemetrySink};
 use amoeba_tenancy::PoolCapacity;
@@ -70,9 +70,9 @@ pub(crate) struct SimWorld {
     /// bus they answer on.
     pub(crate) cluster: Cluster,
     pub(crate) controller: DeploymentController,
-    pub(crate) monitor: ContentionMonitor,
     pub(crate) engine: HybridEngine,
     pub(crate) services: Vec<ServiceRt>,
+    /// The three contention meters' ids, the same on every node.
     pub(crate) meter_ids: [ServiceId; 3],
     /// The event calendar driving the run.
     pub(crate) queue: EventQueue<Ev>,
@@ -103,8 +103,6 @@ pub(crate) struct SimWorld {
     /// Outcomes of queries submitted before this are not recorded.
     pub(crate) warmup_t: SimTime,
     pub(crate) heartbeat_period: SimDuration,
-    /// The per-tenant container cap, for the Eq. 7 prewarm clamp.
-    pub(crate) n_max: u32,
 }
 
 /// One managed service to register: a plain [`super::ServiceSetup`] or
@@ -120,7 +118,7 @@ struct SvcDesc {
 }
 
 /// Build the world: fork the RNG streams, register services and meters
-/// on both platforms, construct controller/monitor/engine, seed the
+/// on every node, construct the controller, monitors and engine, seed the
 /// event calendar and pre-draw the chaos fault calendar. The RNG fork
 /// and registration order here is part of the determinism contract —
 /// reordering anything reshuffles every downstream draw.
@@ -129,14 +127,22 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     let platform_rng = master_rng.fork();
     let iaas_rng = master_rng.fork();
 
-    // One platform pair per node, each scaled to its node's capacity.
-    // Platform construction and registration draw no randomness, so the
-    // RNG fork order is untouched by the topology.
+    // One platform pair and monitor per node, each pool scaled to its
+    // node's capacity. The analytic meter curves do not depend on
+    // capacity, so every monitor inverts the same ones. Platform
+    // construction and registration draw no randomness, so the RNG fork
+    // order is untouched by the topology.
+    let monitor_cfg = MonitorConfig {
+        use_pca: exp.variant.uses_pca(),
+        ..exp.monitor_cfg
+    };
+    let meter_curves = [0, 1, 2].map(|r| meter_curve(&exp.serverless_cfg, r));
     let n_nodes = exp.topology.node_count();
     let mut nodes: Vec<NodeRt> = (0..n_nodes)
         .map(|i| {
             let cfg = exp.topology.scaled(&exp.serverless_cfg, NodeId::new(i));
-            NodeRt::new(cfg, IaasConfig::default())
+            let monitor = ContentionMonitor::new(monitor_cfg, meter_curves.clone());
+            NodeRt::new(cfg, IaasConfig::default(), monitor)
         })
         .collect();
     // Proactive variants look ahead by exactly the switch latency in
@@ -154,10 +160,6 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     }
     let mut controller = DeploymentController::new(controller_cfg);
 
-    let n_max = exp
-        .serverless_cfg
-        .tenant_container_cap
-        .min(exp.serverless_cfg.memory_container_cap());
     let caps = [
         exp.serverless_cfg.node.cores,
         exp.serverless_cfg.node.disk_bw_mbps,
@@ -283,22 +285,30 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         });
     }
 
+    // The home node of each service: where its switch protocol runs
+    // and the pool its controller models.
+    let homes = fabric::homes(
+        exp.scheduler,
+        &exp.topology,
+        descs.iter().map(|d| &d.spec),
+        caps,
+    );
+
     // Register every service on both platforms of every node (ids must
     // align) and build its controller model from analytic profiling of
-    // node 0, the node the controller models.
+    // its home node's pool, with that node's capacity and container
+    // ceiling.
     let mut services: Vec<ServiceRt> = Vec::new();
-    for desc in &descs {
-        let sid = nodes[0].register(&desc.spec);
-        for node in &mut nodes[1..] {
+    for (desc, home) in descs.iter().zip(&homes) {
+        let sid = ServiceId(services.len() as u32);
+        for node in &mut nodes {
             let rid = node.register(&desc.spec);
             debug_assert_eq!(rid, sid, "node id drift");
         }
-        let idx = controller.register(ServiceModel::profiled(
-            &nodes[0].serverless,
-            sid,
-            &exp.serverless_cfg,
-            n_max,
-        ));
+        let pool = &nodes[home.index()].serverless;
+        let cfg = pool.config();
+        let n_max = cfg.tenant_container_cap.min(cfg.memory_container_cap());
+        let idx = controller.register(ServiceModel::profiled(pool, sid, cfg, n_max));
         if exp.variant.proactive() && !desc.background {
             // Seasonal buckets at roughly half the tick cadence keep
             // several observations per bucket while still resolving
@@ -373,24 +383,14 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         }
     }
 
-    // Register the three contention meters (on node 0's serverless
-    // pool only — they never run on IaaS, and their ids come after all
-    // services).
-    let meter_specs = [cpu_meter(), io_meter(), net_meter()];
-    let serverless = &mut nodes[0].serverless;
-    let meter_ids: [ServiceId; 3] = [
-        serverless.register(meter_specs[0].clone()),
-        serverless.register(meter_specs[1].clone()),
-        serverless.register(meter_specs[2].clone()),
-    ];
-    let meter_curves = [0, 1, 2].map(|r| meter_curve(&exp.serverless_cfg, r));
-    let monitor = ContentionMonitor::new(
-        MonitorConfig {
-            use_pca: exp.variant.uses_pca(),
-            ..exp.monitor_cfg
-        },
-        meter_curves,
-    );
+    // Register the three contention meters on every node's serverless
+    // pool (they never run on IaaS). Their ids come after all services,
+    // so they agree on every node.
+    let mut meter_ids = [ServiceId(0); 3];
+    for node in &mut nodes {
+        meter_ids =
+            [cpu_meter(), io_meter(), net_meter()].map(|spec| node.serverless.register(spec));
+    }
 
     // The chaos interference service: in tenancy mode, pressure-spike
     // traffic lands here so it *adds* pool load instead of displacing
@@ -415,14 +415,6 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     let mut engine = HybridEngine::new(services.len(), initial_fg_mode, exp.variant.prewarms());
     engine.set_ack_policy(exp.ack_timeout, exp.max_ack_retries);
 
-    // The home node of each service: where its switch protocol runs.
-    // Meters and chaos stay on node 0.
-    let homes = fabric::homes(
-        exp.scheduler,
-        &exp.topology,
-        descs.iter().map(|d| &d.spec),
-        caps,
-    );
     for (idx, &h) in homes.iter().enumerate() {
         engine.set_home(ServiceId(idx as u32), h);
     }
@@ -497,25 +489,11 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
             engine.force_mode(ServiceId(idx as u32), DeployMode::Serverless);
         }
         if mode == DeployMode::Iaas {
-            // The group boots on the service's home node. Node 0's boot
-            // waits on the bus and is scheduled when the first event is
-            // dispatched (the golden traces pin that timing); any other
-            // node's boot is scheduled from t0 (the bus would delay it by
-            // the first event's time and change multi-node results).
+            // The group boots on the service's home node. Its effects
+            // wait on the bus and are scheduled when the first event is
+            // dispatched (the golden traces pin that timing).
             let home = engine.home(s.sid);
-            let eff = nodes[home.index()].iaas.activate(s.sid, t0);
-            if home == NodeId::ZERO {
-                bus.extend(home, eff);
-            } else {
-                for e in eff {
-                    match e {
-                        Effect::Schedule { after, event } => {
-                            queue.push(t0 + after, Ev::Platform { node: home, event });
-                        }
-                        ack => bus.extend(home, [ack]),
-                    }
-                }
-            }
+            bus.extend(home, nodes[home.index()].iaas.activate(s.sid, t0));
         }
     }
 
@@ -528,14 +506,16 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         }
     }
     if exp.run_meters {
-        for (m, _) in meter_ids.iter().enumerate() {
-            // Deterministic 1 Hz per meter, phase-shifted so the
-            // three never collide (§VII-E: "scheduled in a round
-            // time trip").
-            queue.push(
-                t0 + SimDuration::from_millis(100 + 333 * m as u64),
-                Ev::MeterArrival { meter: m },
-            );
+        for node in (0..n_nodes).map(NodeId::new) {
+            for meter in 0..meter_ids.len() {
+                // Deterministic 1 Hz per meter, phase-shifted so a
+                // node's three never collide (§VII-E: "scheduled in a
+                // round time trip").
+                queue.push(
+                    t0 + SimDuration::from_millis(100 + 333 * meter as u64),
+                    Ev::MeterArrival { node, meter },
+                );
+            }
         }
     }
     queue.push(t0 + exp.control_period, Ev::ControlTick);
@@ -549,14 +529,15 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     // the injector's independent RNG stream, so the runtime RNG
     // fork order is untouched whether or not a plan is attached.
     let chaos: Option<ChaosRt> = exp.fault_plan.clone().map(|plan| {
+        let n_meters = 3 * n_nodes;
         let mut injector = FaultInjector::new(plan, exp.seed);
-        for (t, f) in injector.schedule(exp.horizon, 3) {
+        for (t, f) in injector.schedule(exp.horizon, n_meters) {
             queue.push(t, Ev::Chaos(f));
         }
         ChaosRt {
             injector,
-            meter_outage_until: [t0; 3],
-            meter_outlier_pending: [0; 3],
+            meter_outage_until: vec![t0; n_meters],
+            meter_outlier_pending: vec![0; n_meters],
             crash_requeued: BTreeMap::new(),
             boot_fault_since: vec![None; services.len()],
             spike_next_id: 0,
@@ -573,7 +554,6 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
             iaas_rng,
         },
         controller,
-        monitor,
         engine,
         services,
         meter_ids,
@@ -593,6 +573,5 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         horizon_t,
         warmup_t: t0 + exp.warmup,
         heartbeat_period,
-        n_max,
     }
 }
