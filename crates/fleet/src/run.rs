@@ -123,99 +123,24 @@ pub struct FleetOutcome {
     pub wall: Duration,
 }
 
-enum CellSink {
-    Noop(NoopSink),
-    Digest(DigestSink),
-    Memory(Box<MemorySink>),
-}
-
-impl CellSink {
-    /// Dispatch on the sink variant *once per call*, handing the cell
-    /// kernel a concrete sink type: quiet cells run the branch-free
-    /// `NoopSink` instantiation of the event loop instead of paying a
-    /// virtual call at every guarded emission.
-    fn build(&mut self, exp: Experiment) -> EpochRun {
-        match self {
-            CellSink::Noop(n) => EpochRun::new(exp, n),
-            CellSink::Digest(d) => EpochRun::new(exp, d),
-            CellSink::Memory(m) => EpochRun::new(exp, &mut **m),
-        }
-    }
-
-    fn run_until(&mut self, run: &mut EpochRun, until: SimTime) {
-        match self {
-            CellSink::Noop(n) => run.run_until(until, n),
-            CellSink::Digest(d) => run.run_until(until, d),
-            CellSink::Memory(m) => run.run_until(until, &mut **m),
-        }
-    }
-
-    fn run_to_completion(&mut self, run: &mut EpochRun) {
-        match self {
-            CellSink::Noop(n) => run.run_to_completion(n),
-            CellSink::Digest(d) => run.run_to_completion(d),
-            CellSink::Memory(m) => run.run_to_completion(&mut **m),
-        }
-    }
-
-    fn into_digest_and_trace(self) -> (u64, Option<Trace>) {
-        match self {
-            CellSink::Noop(_) => (0, None),
-            CellSink::Digest(d) => (d.digest(), None),
-            CellSink::Memory(m) => {
-                let trace = m.into_trace();
-                (DigestSink::of_trace(&trace), Some(trace))
-            }
-        }
-    }
-}
-
-/// What each cell's telemetry feeds during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SinkMode {
-    /// Discard telemetry; [`FleetOutcome::digest`] is 0. The fast path
-    /// for wall-clock measurements — events are never serialised.
-    Quiet,
-    /// Hash every event's JSONL bytes into the run digest.
-    Digest,
-    /// Keep full traces (tests at reduced scale).
-    Traced,
-}
-
-struct Cell {
+/// One cell and the sink its telemetry feeds.
+struct Cell<S> {
     run: EpochRun,
-    sink: CellSink,
+    sink: S,
 }
 
 /// A built, not-yet-executed fleet: cells plus the exchange policy.
 pub struct FleetRun {
-    cells: Vec<Experiment>,
-    epoch: SimDuration,
-    horizon: SimDuration,
-    coupling: bool,
-    reclamation: Option<ReclamationConfig>,
-    rejected: usize,
+    pub(crate) cells: Vec<Experiment>,
+    pub(crate) epoch: SimDuration,
+    pub(crate) horizon: SimDuration,
+    /// Run the exchange's pressure coupling and fleet-level
+    /// reclamation (with the default watermarks).
+    pub(crate) coupling: bool,
+    pub(crate) rejected: usize,
 }
 
 impl FleetRun {
-    pub(crate) fn new(
-        cells: Vec<Experiment>,
-        epoch: SimDuration,
-        horizon: SimDuration,
-        coupling: bool,
-        reclamation: Option<ReclamationConfig>,
-        rejected: usize,
-    ) -> Self {
-        FleetRun {
-            cells,
-            epoch,
-            horizon,
-            coupling,
-            reclamation,
-            rejected,
-        }
-    }
-
     /// Wrap pre-built experiments (one cell each) with the exchange
     /// disabled — the harness the golden-trace tests use to check the
     /// sharded executor against the serial runtime's fixtures.
@@ -225,7 +150,13 @@ impl FleetRun {
             .map(|e| e.horizon)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        FleetRun::new(cells, epoch, horizon, false, None, 0)
+        FleetRun {
+            cells,
+            epoch,
+            horizon,
+            coupling: false,
+            rejected: 0,
+        }
     }
 
     /// Number of cells.
@@ -245,37 +176,49 @@ impl FleetRun {
 
     /// Execute on `threads` workers, hashing telemetry as it streams.
     pub fn run(self, threads: usize) -> FleetOutcome {
-        self.execute(threads, SinkMode::Digest).0
+        let (mut out, sinks) = self.execute(threads, DigestSink::new);
+        out.digest = combine(sinks.iter().map(DigestSink::digest));
+        out
     }
 
-    /// Execute with telemetry discarded (`digest == 0`): the fast path
-    /// for wall-clock measurements, where per-event encoding and hashing
-    /// would otherwise be timed along with the simulation itself.
+    /// Execute with telemetry discarded, each cell's digest reading 0:
+    /// the fast path for wall-clock measurements, where per-event
+    /// encoding and hashing would otherwise be timed along with the
+    /// simulation itself.
     pub fn run_quiet(self, threads: usize) -> FleetOutcome {
-        self.execute(threads, SinkMode::Quiet).0
+        let (mut out, sinks) = self.execute(threads, || NoopSink);
+        out.digest = combine(sinks.iter().map(|_| 0));
+        out
     }
 
     /// Execute and keep every cell's full trace (cell-index order).
     /// Memory-heavy; meant for tests at reduced scale.
     pub fn run_traced(self, threads: usize) -> (FleetOutcome, Vec<Trace>) {
-        self.execute(threads, SinkMode::Traced)
+        let (mut out, sinks) = self.execute(threads, MemorySink::new);
+        let traces: Vec<Trace> = sinks.into_iter().map(MemorySink::into_trace).collect();
+        out.digest = combine(traces.iter().map(DigestSink::of_trace));
+        (out, traces)
     }
 
-    fn execute(self, threads: usize, mode: SinkMode) -> (FleetOutcome, Vec<Trace>) {
+    /// Run every cell with its own sink from `new_sink`, monomorphised
+    /// over the sink type so quiet cells run the branch-free `NoopSink`
+    /// kernel. Returns the outcome, its digest unset, and the sinks in
+    /// cell-index order.
+    fn execute<S: TelemetrySink + Send>(
+        self,
+        threads: usize,
+        new_sink: impl Fn() -> S,
+    ) -> (FleetOutcome, Vec<S>) {
         assert!(threads >= 1, "need at least one worker");
         let start = Instant::now();
         let mut fleet_sink = MemorySink::new();
 
-        let mut cells: Vec<Cell> = self
+        let mut cells: Vec<Cell<S>> = self
             .cells
             .into_iter()
             .map(|exp| {
-                let mut sink = match mode {
-                    SinkMode::Quiet => CellSink::Noop(NoopSink),
-                    SinkMode::Digest => CellSink::Digest(DigestSink::new()),
-                    SinkMode::Traced => CellSink::Memory(Box::new(MemorySink::new())),
-                };
-                let run = sink.build(exp);
+                let mut sink = new_sink();
+                let run = EpochRun::new(exp, &mut sink);
                 Cell { run, sink }
             })
             .collect();
@@ -288,6 +231,7 @@ impl FleetRun {
         let mut boundary = SimTime::ZERO;
         let mut epoch: u64 = 0;
         let mut throttled = false;
+        let recl = ReclamationConfig::default();
 
         while boundary < end && !cells.is_empty() {
             boundary = (boundary + self.epoch).min(end);
@@ -303,7 +247,7 @@ impl FleetRun {
                             let mut events = 0;
                             for cell in shard.iter_mut() {
                                 let before = cell.run.events_processed();
-                                cell.sink.run_until(&mut cell.run, boundary);
+                                cell.run.run_until(boundary, &mut cell.sink);
                                 events += cell.run.events_processed() - before;
                             }
                             (shard.len(), events)
@@ -345,16 +289,14 @@ impl FleetRun {
                 for cell in cells.iter_mut() {
                     cell.run.set_external_pressure(external);
                 }
-                if let Some(recl) = &self.reclamation {
-                    let peak = mean.iter().cloned().fold(0.0f64, f64::max);
-                    let next = recl.step(throttled, peak);
-                    if next != throttled {
-                        let cap = next.then_some(recl.throttled_cap);
-                        for cell in cells.iter_mut() {
-                            cell.run.set_service_caps(cap);
-                        }
-                        throttled = next;
+                let peak = mean.iter().cloned().fold(0.0f64, f64::max);
+                let next = recl.step(throttled, peak);
+                if next != throttled {
+                    let cap = next.then_some(recl.throttled_cap);
+                    for cell in cells.iter_mut() {
+                        cell.run.set_service_caps(cap);
                     }
+                    throttled = next;
                 }
             }
 
@@ -374,32 +316,27 @@ impl FleetRun {
                 for shard in cells.chunks_mut(plan.chunk()) {
                     scope.spawn(move || {
                         for cell in shard.iter_mut() {
-                            cell.sink.run_to_completion(&mut cell.run);
+                            cell.run.run_to_completion(&mut cell.sink);
                         }
                     });
                 }
             });
         }
 
-        let mut digests = Vec::with_capacity(cells.len());
+        let mut sinks = Vec::with_capacity(cells.len());
         let mut results = Vec::with_capacity(cells.len());
-        let mut traces = Vec::new();
         let mut totals = FleetTotals::default();
         let mut events = 0;
         for cell in cells {
             events += cell.run.events_processed();
-            let (digest, trace) = cell.sink.into_digest_and_trace();
-            digests.push(digest);
-            if let Some(t) = trace {
-                traces.push(t);
-            }
+            sinks.push(cell.sink);
             let mut result = cell.run.finish();
             totals.absorb(&mut result);
             results.push(result);
         }
 
         let outcome = FleetOutcome {
-            digest: combine(digests),
+            digest: 0,
             results,
             totals,
             fleet_trace: fleet_sink.into_trace(),
@@ -408,7 +345,7 @@ impl FleetRun {
             rejected: self.rejected,
             wall: start.elapsed(),
         };
-        (outcome, traces)
+        (outcome, sinks)
     }
 }
 

@@ -18,13 +18,10 @@
 //!    tenant never reshuffles the others, and the assignment is
 //!    trivially permutation-invariant.
 
-use amoeba_chaos::FaultPlan;
 use amoeba_core::{Experiment, ServiceSetup, SystemVariant};
 use amoeba_platform::ServerlessConfig;
 use amoeba_sim::SimDuration;
-use amoeba_tenancy::{
-    FleetBuilder, OverbookingPolicy, PoolCapacity, ReclamationConfig, TenantSpec,
-};
+use amoeba_tenancy::{FleetBuilder, OverbookingPolicy, PoolCapacity, TenantSpec};
 use amoeba_workload::LoadTrace;
 
 use crate::digest::{fnv1a, FNV_OFFSET};
@@ -37,6 +34,9 @@ pub fn assign_cell(name: &str, cells: usize) -> usize {
     assert!(cells > 0, "fleet needs at least one cell");
     (fnv1a(FNV_OFFSET, name.as_bytes()) % cells as u64) as usize
 }
+
+/// The vendor's overbooking ratio at fleet-level admission.
+const OVERBOOKING_RATIO: f64 = 2.0;
 
 /// Builder for a sharded fleet run.
 ///
@@ -54,13 +54,10 @@ pub struct FleetSpec {
     peak_scale: (f64, f64),
     peak_floor: f64,
     qos_slack: f64,
-    ratio: f64,
     control_period_s: f64,
     usage_sample_s: f64,
     epoch_s: f64,
     coupling: bool,
-    reclamation: Option<ReclamationConfig>,
-    fault_plan: Option<FaultPlan>,
     tenants: Option<Vec<TenantSpec>>,
 }
 
@@ -81,13 +78,10 @@ impl FleetSpec {
             peak_scale: (0.0002, 0.002),
             peak_floor: 0.001,
             qos_slack: 2.0,
-            ratio: 2.0,
             control_period_s: 300.0,
             usage_sample_s: 600.0,
             epoch_s: 600.0,
             coupling: true,
-            reclamation: Some(ReclamationConfig::default()),
-            fault_plan: None,
             tenants: None,
         }
     }
@@ -139,13 +133,6 @@ impl FleetSpec {
         self
     }
 
-    /// Vendor overbooking ratio used at fleet-level admission.
-    pub fn ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0);
-        self.ratio = ratio;
-        self
-    }
-
     /// Controller tick period, seconds.
     pub fn control_period_s(mut self, s: f64) -> Self {
         assert!(s > 0.0);
@@ -173,18 +160,6 @@ impl FleetSpec {
     /// Enable or disable the cross-cell pressure/reclamation exchange.
     pub fn coupling(mut self, on: bool) -> Self {
         self.coupling = on;
-        self
-    }
-
-    /// Fleet-level reclamation watermarks (`None` disables throttling).
-    pub fn reclamation(mut self, cfg: Option<ReclamationConfig>) -> Self {
-        self.reclamation = cfg;
-        self
-    }
-
-    /// Inject a chaos calendar into every cell.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -222,7 +197,10 @@ impl FleetSpec {
             solo_io_mbps: cfg.per_flow_io_mbps,
             solo_net_mbps: cfg.per_flow_net_mbps,
         };
-        let decisions = OverbookingPolicy { ratio: self.ratio }.admit(&tenants, &pool);
+        let decisions = OverbookingPolicy {
+            ratio: OVERBOOKING_RATIO,
+        }
+        .admit(&tenants, &pool);
 
         let mut per_cell: Vec<Vec<ServiceSetup>> = (0..self.cells).map(|_| Vec::new()).collect();
         let mut rejected = 0usize;
@@ -250,26 +228,22 @@ impl FleetSpec {
                 let seed = self
                     .seed
                     .wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut b = Experiment::builder(self.variant, horizon, seed)
+                Experiment::builder(self.variant, horizon, seed)
                     .services(services)
                     .control_period(SimDuration::from_secs_f64(self.control_period_s))
                     .usage_sample_period(SimDuration::from_secs_f64(self.usage_sample_s))
-                    .run_meters(false);
-                if let Some(plan) = &self.fault_plan {
-                    b = b.fault_plan(plan.clone());
-                }
-                b.build()
+                    .run_meters(false)
+                    .build()
             })
             .collect();
 
-        FleetRun::new(
+        FleetRun {
             cells,
-            SimDuration::from_secs_f64(self.epoch_s),
+            epoch: SimDuration::from_secs_f64(self.epoch_s),
             horizon,
-            self.coupling,
-            self.reclamation,
+            coupling: self.coupling,
             rejected,
-        )
+        }
     }
 }
 
