@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Known ids: table2 table3 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12
-//! fig13 fig14 fig15 fig16 overhead ablation-slowdown cost multi-tenant
+//! fig13 fig14 fig15 fig16 overhead ablation-slowdown cost
 //! ablation-prewarm ablation-percentile week trace forecast resilience
 //! multinode workflow multitenant fleet.
 //!
@@ -40,7 +40,6 @@ fn by_id(id: &str, smoke: bool) -> Option<Report> {
         "overhead" => ablations::overhead(DEFAULT_DAY_S, DEFAULT_SEED),
         "ablation-slowdown" => ablations::ablation_slowdown(),
         "cost" => extensions::cost(DEFAULT_DAY_S, DEFAULT_SEED),
-        "multi-tenant" => extensions::multi_tenant(DEFAULT_DAY_S, DEFAULT_SEED),
         "ablation-prewarm" => extensions::ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED),
         "ablation-percentile" => extensions::ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED),
         "week" => extensions::week(DEFAULT_DAY_S, DEFAULT_SEED),
@@ -105,7 +104,6 @@ const GROUPS: &[(&str, &[&str])] = &[
         "extensions",
         &[
             "cost",
-            "multi-tenant",
             "ablation-prewarm",
             "ablation-percentile",
             "week",

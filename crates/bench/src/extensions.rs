@@ -1,6 +1,6 @@
 //! Extension experiments beyond the paper's figures: maintainer-side
-//! billing, the vendor-level multi-tenant view, and ablations of design
-//! choices DESIGN.md calls out (prewarm sizing, percentile estimator).
+//! billing and ablations of design choices DESIGN.md calls out (prewarm
+//! sizing, percentile estimator).
 
 use crate::report::{row, Report};
 use crate::scenarios::{
@@ -63,82 +63,6 @@ pub fn cost(day_s: f64, seed: u64) -> Report {
             "amoeba": c_amoeba, "nameko": c_nameko, "openwhisk": c_ow,
         }));
     }
-    r.json = json!(out);
-    r
-}
-
-/// The vendor-level view the paper's design targets (§III: "Amoeba is a
-/// system designed for Cloud vendors"): *all five* benchmarks managed
-/// concurrently on one shared pool, each with its own diurnal trace,
-/// switching independently while the §III impact check protects
-/// co-tenants.
-pub fn multi_tenant(day_s: f64, seed: u64) -> Report {
-    let mut r = Report::new(
-        "multi-tenant",
-        "All five benchmarks under one Amoeba deployment (shared pool)",
-    );
-    let build = |variant| {
-        let services: Vec<ServiceSetup> = foregrounds()
-            .into_iter()
-            .map(|spec| ServiceSetup {
-                trace: LoadTrace::new(DiurnalPattern::didi(), spec.peak_qps * 0.6, day_s),
-                spec,
-                background: false,
-            })
-            .collect();
-        Experiment::builder(variant, SimDuration::from_secs_f64(day_s), seed)
-            .services(services)
-            .build()
-            .run()
-    };
-    let mut runs = par_map([SystemVariant::Amoeba, SystemVariant::Nameko], build).into_iter();
-    let (mut amoeba, nameko) = (runs.next().expect("run"), runs.next().expect("run"));
-    let w = [12, 10, 12, 10, 10, 10];
-    r.line(row(
-        &[
-            "Name".into(),
-            "QoS".into(),
-            "p95/target".into(),
-            "switches".into(),
-            "cpu".into(),
-            "mem".into(),
-        ],
-        &w,
-    ));
-    let mut out = Vec::new();
-    let mut all_met = true;
-    for i in 0..amoeba.services.len() {
-        let base = nameko.services[i].usage;
-        let fg = &mut amoeba.services[i];
-        let p95 = fg.qos_latency().unwrap_or(0.0);
-        let met = fg.qos_met();
-        all_met &= met;
-        let cpu = fg.usage.cpu_relative_to(&base);
-        let mem = fg.usage.mem_relative_to(&base);
-        r.line(row(
-            &[
-                fg.name.clone(),
-                if met { "MET".into() } else { "VIOLATED".into() },
-                format!("{:.3}", p95 / fg.qos_target_s),
-                format!("{}", fg.switch_history.len()),
-                format!("{cpu:.3}"),
-                format!("{mem:.3}"),
-            ],
-            &w,
-        ));
-        out.push(json!({
-            "name": fg.name,
-            "qos_met": met,
-            "p95_over_target": p95 / fg.qos_target_s,
-            "switches": fg.switch_history.len(),
-            "cpu_ratio": cpu,
-            "mem_ratio": mem,
-        }));
-    }
-    r.line(format!(
-        "mean pool pressure (cpu/io/net): {:.2}/{:.2}/{:.2}; all QoS met: {all_met}",
-        amoeba.mean_pressures[0], amoeba.mean_pressures[1], amoeba.mean_pressures[2]
-    ));
     r.json = json!(out);
     r
 }
@@ -362,7 +286,6 @@ pub fn trace_summary(day_s: f64, seed: u64) -> Report {
 pub fn all() -> Vec<Report> {
     vec![
         cost(DEFAULT_DAY_S, DEFAULT_SEED),
-        multi_tenant(DEFAULT_DAY_S, DEFAULT_SEED),
         ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED),
         ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED),
         week(DEFAULT_DAY_S, DEFAULT_SEED),
@@ -388,21 +311,6 @@ mod tests {
             // whole point of the paper's QoS-aware switching).
             assert!(ow <= amoeba * 1.02, "{row}");
         }
-    }
-
-    #[test]
-    fn multi_tenant_meets_qos_and_switches() {
-        let r = multi_tenant(300.0, 5);
-        let rows = r.json.as_array().unwrap();
-        assert_eq!(rows.len(), 5);
-        let mut switched = 0;
-        for row in rows {
-            assert_eq!(row["qos_met"], true, "{row}");
-            if row["switches"].as_u64().unwrap() > 0 {
-                switched += 1;
-            }
-        }
-        assert!(switched >= 3, "most tenants should switch: {rows:?}");
     }
 
     #[test]

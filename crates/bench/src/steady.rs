@@ -13,6 +13,28 @@ use amoeba_workload::{DiurnalPattern, LoadTrace, MicroserviceSpec};
 /// How long each steady probe runs (simulated seconds).
 const PROBE_S: f64 = 150.0;
 
+/// `spec` at a flat `qps` plus the background services at their flat
+/// rates.
+fn flat_services(
+    spec: &MicroserviceSpec,
+    qps: f64,
+    background: &[(MicroserviceSpec, f64)],
+) -> Vec<ServiceSetup> {
+    let day = PROBE_S * 1000.0; // flat anyway; keep the trace constant
+    let flat = |spec: &MicroserviceSpec, qps: f64, background| ServiceSetup {
+        trace: LoadTrace::new(DiurnalPattern::flat(1.0), qps.max(0.01), day),
+        spec: spec.clone(),
+        background,
+    };
+    let mut services = vec![flat(spec, qps, false)];
+    services.extend(
+        background
+            .iter()
+            .map(|(bg, bg_qps)| flat(bg, *bg_qps, true)),
+    );
+    services
+}
+
 /// Measured r-ile latency (seconds) of `spec` at a flat `qps`, deployed
 /// per `variant` (use [`SystemVariant::OpenWhisk`] for serverless,
 /// [`SystemVariant::Nameko`] for IaaS), with optional background
@@ -26,25 +48,12 @@ pub fn steady_qos_latency(
     background: &[(MicroserviceSpec, f64)],
     seed: u64,
 ) -> Option<f64> {
-    let day = PROBE_S * 1000.0; // flat anyway; keep the trace constant
-    let mut services = vec![ServiceSetup {
-        trace: LoadTrace::new(DiurnalPattern::flat(1.0), qps.max(0.01), day),
-        spec: spec.clone(),
-        background: false,
-    }];
-    for (bg, bg_qps) in background {
-        services.push(ServiceSetup {
-            trace: LoadTrace::new(DiurnalPattern::flat(1.0), bg_qps.max(0.01), day),
-            spec: bg.clone(),
-            background: true,
-        });
-    }
     // The warm pool needs time to grow to its steady LIFO size before
     // the percentile is representative (cold-start transients are a
     // start-up artefact at a *steady* rate, not part of the sustained
     // capacity the probe measures).
     let exp = Experiment::builder(variant, SimDuration::from_secs_f64(PROBE_S), seed)
-        .services(services)
+        .services(flat_services(spec, qps, background))
         .serverless_cfg(serverless_cfg)
         .warmup(SimDuration::from_secs(60))
         .build();
@@ -67,25 +76,12 @@ pub fn steady_probe(
     background: &[(MicroserviceSpec, f64)],
     seed: u64,
 ) -> (f64, [f64; 3], [f64; 3]) {
-    let day = PROBE_S * 1000.0;
-    let mut services = vec![ServiceSetup {
-        trace: LoadTrace::new(DiurnalPattern::flat(1.0), qps.max(0.01), day),
-        spec: spec.clone(),
-        background: false,
-    }];
-    for (bg, bg_qps) in background {
-        services.push(ServiceSetup {
-            trace: LoadTrace::new(DiurnalPattern::flat(1.0), bg_qps.max(0.01), day),
-            spec: bg.clone(),
-            background: true,
-        });
-    }
     let exp = Experiment::builder(
         SystemVariant::OpenWhisk,
         SimDuration::from_secs_f64(PROBE_S * 1.5),
         seed,
     )
-    .services(services)
+    .services(flat_services(spec, qps, background))
     .serverless_cfg(serverless_cfg)
     .warmup(SimDuration::from_secs(20))
     .build();
@@ -118,7 +114,7 @@ pub fn max_steady_qps(
         return 0.0;
     }
     // Expand hi until it fails (or give up at 4x the hint).
-    let mut cap = hi_hint * 4.0;
+    let cap = hi_hint * 4.0;
     while meets(hi) {
         lo = hi;
         hi *= 1.5;
@@ -126,7 +122,6 @@ pub fn max_steady_qps(
             return lo;
         }
     }
-    let _ = &mut cap;
     // Bisect to ~2% relative.
     for _ in 0..12 {
         if (hi - lo) / hi < 0.02 {
