@@ -38,10 +38,7 @@ pub(crate) fn on_arrival<S: TelemetrySink + ?Sized>(
     // Workflow root stages tag the query with their stage index and
     // open the instance record; a plain service's untagged id is
     // bit-identical to a stage-0 tag.
-    let qid = match workflow
-        .as_mut()
-        .and_then(|w| w.open_root(idx, seq, now, now >= *warmup_t))
-    {
+    let qid = match workflow.open_root(idx, seq, now, now >= *warmup_t) {
         Some(stage) => QueryId::user_stage(seq, stage),
         None => QueryId::user(seq),
     };

@@ -1,22 +1,21 @@
 //! Completion accounting: every query outcome — user, shadow, meter or
 //! injected — funnels through here off the effect bus.
 
-use super::faults::chaos_completion;
 use super::world::ServiceRt;
 use super::{Experiment, SimWorld};
 use crate::controller::DeploymentController;
 use crate::monitor::ContentionMonitor;
-use amoeba_platform::{NodeId, QueryOutcome, ServiceId};
+use amoeba_platform::{NodeId, QueryOutcome};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     DeployMode, RecoveryKind, RecoveryRecord, TelemetryEvent, TelemetrySink, ViolationCause,
     ViolationRecord, WarmSampleRecord,
 };
 
-/// One query finished on `node`. Chaos gets first refusal (spike
-/// traffic, meter blackouts and outliers are swallowed there);
-/// re-queued crash victims log their recovery; everything else is
-/// accounted normally, against `node`'s monitor.
+/// One query finished on `node`. Injected spike traffic is swallowed
+/// whole; a meter sample feeds `node`'s monitor unless chaos drops or
+/// corrupts it; re-queued crash victims log their recovery; everything
+/// else is accounted normally, against `node`'s monitor.
 pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
@@ -37,71 +36,66 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
         warmup_t,
         ..
     } = world;
+    let query = outcome.query;
+    if query.id.is_spike() {
+        return;
+    }
     let monitor = &mut cluster.nodes[node.index()].monitor;
-    let mut swallowed = false;
-    if let Some(ch) = chaos.as_mut() {
-        swallowed = chaos_completion(ch, &outcome, now, node, meter_ids, monitor);
-        // Almost every completion is an ordinary query; skip the map
-        // probe entirely while no crash-requeued queries are pending.
-        if !ch.crash_requeued.is_empty() {
-            let key = (outcome.query.service.raw(), outcome.query.id.raw());
-            if let Some(t_crash) = ch.crash_requeued.remove(&key) {
-                if sink.enabled() {
-                    sink.record(TelemetryEvent::Recovery(RecoveryRecord {
-                        t: now,
-                        kind: RecoveryKind::RequeuedQueryCompleted,
-                        service: Some(outcome.query.service.raw() as usize),
-                        after_s: now.duration_since(t_crash).as_secs_f64(),
-                    }));
-                }
+    if let Some(m) = meter_ids.iter().position(|&x| x == query.service) {
+        let latency_s = outcome.latency().as_secs_f64();
+        if let Some(seen) = chaos.meter_sample(node, m, latency_s, now) {
+            monitor.observe_meter_latency(m, seen);
+        }
+        return;
+    }
+    // Almost every completion is an ordinary query; skip the map probe
+    // entirely while no crash-requeued queries are pending.
+    if !chaos.crash_requeued.is_empty() {
+        let key = (query.service.raw(), query.id.raw());
+        if let Some(t_crash) = chaos.crash_requeued.remove(&key) {
+            if sink.enabled() {
+                sink.record(TelemetryEvent::Recovery(RecoveryRecord {
+                    t: now,
+                    kind: RecoveryKind::RequeuedQueryCompleted,
+                    service: Some(query.service.raw() as usize),
+                    after_s: now.duration_since(t_crash).as_secs_f64(),
+                }));
             }
         }
     }
-    if !swallowed {
-        account(
-            exp, &outcome, now, *warmup_t, meter_ids, services, controller, monitor, sink,
-        );
-        // Workflow stage hand-off, after (and independent of) QoS
-        // accounting: successors must flow even during warmup, when
-        // `account` records nothing.
-        if !outcome.query.id.is_shadow() {
-            if let Some(wrt) = workflow.as_mut() {
-                let idx = outcome.query.service.raw() as usize;
-                if let Some((w, s)) = wrt.stage_of(idx) {
-                    super::workflow::on_stage_complete(
-                        wrt, w, s, &outcome, now, services, controller, engine, cluster, queue,
-                        *warmup_t, sink,
-                    );
-                }
-            }
+    account(
+        exp, &outcome, now, *warmup_t, services, controller, monitor, sink,
+    );
+    // Workflow stage hand-off, after (and independent of) QoS
+    // accounting: successors must flow even during warmup, when
+    // `account` records nothing.
+    if !query.id.is_shadow() {
+        let idx = query.service.raw() as usize;
+        if let Some((w, s)) = workflow.stage_of(idx) {
+            super::workflow::on_stage_complete(
+                workflow, w, s, &outcome, now, services, controller, engine, cluster, queue,
+                *warmup_t, sink,
+            );
         }
     }
 }
 
-/// The normal accounting path: meters feed the monitor of the node
-/// they ran on, serverless executions calibrate the controller against
-/// the monitor of the node that executed them (§III), and post-warmup user
-/// queries land in the latency recorder with QoS-violation and
-/// warm-breakdown attribution.
+/// The normal accounting path for a service's query: serverless
+/// executions calibrate the controller against the monitor of the node
+/// that executed them (§III), and post-warmup user queries land in the
+/// latency recorder with QoS-violation and warm-breakdown attribution.
 #[allow(clippy::too_many_arguments)]
 fn account<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     outcome: &QueryOutcome,
     now: SimTime,
     warmup_t: SimTime,
-    meter_ids: &[ServiceId; 3],
     services: &mut [ServiceRt],
     controller: &mut DeploymentController,
     monitor: &mut ContentionMonitor,
     sink: &mut S,
 ) {
-    let sid = outcome.query.service;
-    // Meter completion: feed the monitor.
-    if let Some(m) = meter_ids.iter().position(|&x| x == sid) {
-        monitor.observe_meter_latency(m, outcome.latency().as_secs_f64());
-        return;
-    }
-    let idx = sid.raw() as usize;
+    let idx = outcome.query.service.raw() as usize;
     if idx >= services.len() {
         return;
     }

@@ -12,9 +12,9 @@
 //! finishes); the final stage completion records the end-to-end
 //! latency against the workflow's QoS target.
 //!
-//! Everything here hangs off `SimWorld.workflow: Option<WorkflowRt>`.
-//! `None` — any run without a multi-stage workflow — touches none of
-//! these paths and stays byte-identical to the legacy kernel.
+//! Everything here hangs off `SimWorld.workflow`. In a run without a
+//! multi-stage workflow its table is empty: no service is a stage, so
+//! no arrival opens an instance and no completion hands off.
 
 use super::arrivals::route_and_submit;
 use super::cluster::Cluster;
@@ -116,8 +116,8 @@ pub(crate) struct WorkflowState {
     pub(crate) stage_violations: Vec<usize>,
 }
 
-/// All workflow bookkeeping for one run. Present on `SimWorld` only
-/// when at least one multi-stage workflow is attached.
+/// All workflow bookkeeping for one run: empty unless a multi-stage
+/// workflow is attached.
 pub(crate) struct WorkflowRt {
     pub(crate) workflows: Vec<WorkflowState>,
     /// `services` index → (workflow index, stage index); `None` for
@@ -128,15 +128,8 @@ pub(crate) struct WorkflowRt {
 impl WorkflowRt {
     /// Build the runtime from `world::setup`'s lowering metadata:
     /// `(spec, services indices in stage order, stage budgets)` per
-    /// multi-stage workflow. Returns `None` when there are none, which
-    /// keeps every legacy run on the untouched fast path.
-    pub(crate) fn new(
-        meta: Vec<(WorkflowSpec, Vec<usize>, Vec<f64>)>,
-        n_services: usize,
-    ) -> Option<Self> {
-        if meta.is_empty() {
-            return None;
-        }
+    /// multi-stage workflow.
+    pub(crate) fn new(meta: Vec<(WorkflowSpec, Vec<usize>, Vec<f64>)>, n_services: usize) -> Self {
         let mut stage_of = vec![None; n_services];
         let workflows = meta
             .into_iter()
@@ -160,10 +153,10 @@ impl WorkflowRt {
                 }
             })
             .collect();
-        Some(WorkflowRt {
+        WorkflowRt {
             workflows,
             stage_of,
-        })
+        }
     }
 
     /// Which workflow stage service `idx` implements, if any.

@@ -65,11 +65,13 @@ fn same_seed_and_plan_give_bit_identical_traces() {
 
 #[test]
 fn a_zero_rate_plan_is_indistinguishable_from_no_plan() {
-    // Attaching a no-op plan builds the injector, but its RNG stream is
-    // independent of the runtime's: the run must match a plan-free run
-    // event for event.
+    // The mixed plan scaled to zero keeps its durations, multipliers
+    // and spike rate, but its zero rates and probabilities schedule no
+    // fault and fail no decision, and the injector's RNG stream is
+    // independent of the runtime's: the run must match one with no plan
+    // set event for event.
     let (ra, ta) = run_chaos(240.0, 67, None);
-    let (rb, tb) = run_chaos(240.0, 67, Some(FaultPlan::default()));
+    let (rb, tb) = run_chaos(240.0, 67, Some(FaultPlan::mixed().scaled(0.0)));
     assert_eq!(ta.to_jsonl(), tb.to_jsonl());
     assert_eq!(ra.final_weights, rb.final_weights);
     for (a, b) in ra.services.iter().zip(&rb.services) {
