@@ -11,7 +11,7 @@
 use super::{Ev, SimWorld};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{TelemetryEvent, TelemetrySink, VendorSampleRecord};
-use amoeba_tenancy::{AdmissionDecision, ReclamationConfig};
+use amoeba_tenancy::{AdmissionDecision, Reclamation};
 use amoeba_workload::{DemandVector, MicroserviceSpec};
 
 /// Ceiling on endogenous pressure readings. The contention surfaces are
@@ -19,9 +19,11 @@ use amoeba_workload::{DemandVector, MicroserviceSpec};
 /// while still signalling saturation.
 pub(crate) const PRESSURE_CAP: f64 = 0.95;
 
-/// Mutable tenancy bookkeeping, present only when a non-no-op
-/// [`TenancySetup`] is attached. `None` runs the legacy
-/// single-maintainer path bit-identically.
+/// The vendor's control-loop period.
+pub(crate) const VENDOR_TICK: SimDuration = SimDuration::from_secs(5);
+
+/// Mutable tenancy bookkeeping, present when a [`TenancySetup`] is
+/// attached.
 ///
 /// [`TenancySetup`]: amoeba_tenancy::TenancySetup
 pub(crate) struct TenancyRt {
@@ -29,16 +31,8 @@ pub(crate) struct TenancyRt {
     pub(crate) decisions: Vec<AdmissionDecision>,
     /// Runtime service index per tenant (`None` = rejected).
     pub(crate) svc: Vec<Option<usize>>,
-    /// Derive measured pressure from pool occupancy.
-    pub(crate) endogenous: bool,
-    /// Vendor reclamation watermarks.
-    pub(crate) reclamation: ReclamationConfig,
-    /// Vendor control-loop period.
-    pub(crate) vendor_tick: SimDuration,
-    /// Whether tenant caps are currently throttled.
-    pub(crate) throttled: bool,
-    /// Throttle activations over the run.
-    pub(crate) reclamations: u64,
+    /// The vendor's watermark reclamation over the tenant caps.
+    pub(crate) reclamation: Reclamation,
     /// The dedicated service injected pressure-spike traffic lands on
     /// in tenancy mode (registered after the meters).
     pub(crate) interference_sid: Option<amoeba_platform::ServiceId>,
@@ -85,13 +79,7 @@ pub(crate) fn on_vendor_tick<S: TelemetrySink + ?Sized>(
     let serverless = &mut cluster.nodes[0].serverless;
     let util = serverless.utilization();
     let peak = util[0].max(util[1]).max(util[2]);
-    let was = trt.throttled;
-    trt.throttled = trt.reclamation.step(was, peak);
-    if trt.throttled != was {
-        let cap = trt.throttled.then_some(trt.reclamation.throttled_cap);
-        if trt.throttled {
-            trt.reclamations += 1;
-        }
+    if let Some(cap) = trt.reclamation.step(peak) {
         for idx in trt.svc.iter().flatten() {
             serverless.set_tenant_cap(services[*idx].sid, cap);
         }
@@ -101,10 +89,10 @@ pub(crate) fn on_vendor_tick<S: TelemetrySink + ?Sized>(
             t: now,
             pool_util: util,
             containers: serverless.total_containers() as u64,
-            throttled: trt.throttled,
+            throttled: trt.reclamation.throttled,
         }));
     }
-    let next = now + trt.vendor_tick;
+    let next = now + VENDOR_TICK;
     if next < *horizon_t {
         queue.push(next, Ev::VendorTick);
     }

@@ -15,23 +15,24 @@
 //! * [`OverbookingPolicy`] — admission parameterised by an overbooking
 //!   ratio over per-tenant *reserved shares* (peak demand over pool
 //!   capacity, max across resources);
-//! * [`ReclamationConfig`] — watermark-based capacity reclamation that
-//!   throttles per-tenant container caps when the pool saturates;
+//! * [`Reclamation`] — the watermark state machine that throttles
+//!   per-tenant container caps when the pool saturates, stepped by the
+//!   in-run vendor tick and by the fleet's epoch exchange alike;
 //! * [`VendorLedger`] — per-tenant revenue, SLO-credit and vendor-cost
 //!   accounting, rolled up into a profit figure.
 //!
-//! The runtime consumes a [`TenancySetup`] (tenants + policy + vendor
-//! knobs) and reports a [`TenancySummary`] next to the usual per-service
-//! results. With `endogenous_pressure` set, measured pressure is derived
-//! from pool occupancy instead of the exogenous input:
+//! The runtime consumes a [`TenancySetup`] (tenants + policy) and
+//! reports a [`TenancySummary`] next to the usual per-service results.
+//! Under tenancy, measured pressure is derived from pool occupancy
+//! instead of the exogenous input:
 //!
 //! ```text
 //! p_r(t) = min(p_cap, U_pool(t))        r ∈ {cpu, io, net}
 //! ```
 //!
 //! where `U_pool` is the serverless pool's resource utilisation — the
-//! pressure-emergence equation of DESIGN.md §15. With it unset (and no
-//! tenants), every existing experiment and golden trace is byte-identical.
+//! pressure-emergence equation of DESIGN.md §15. A run with no setup
+//! attached reads the monitor's exogenous signal.
 
 pub mod fleet;
 pub mod ledger;
@@ -39,11 +40,11 @@ pub mod policy;
 
 pub use fleet::{FleetBuilder, TenantPricing, TenantSpec};
 pub use ledger::{TenantAccount, VendorLedger};
-pub use policy::{AdmissionDecision, OverbookingPolicy, PoolCapacity, ReclamationConfig};
+pub use policy::{AdmissionDecision, OverbookingPolicy, PoolCapacity, Reclamation};
 
 /// Everything the runtime needs to populate a run with tenants and run
 /// the vendor's control loop. Attach one to an experiment to switch the
-/// multi-tenant machinery on; `None` (the default) is the legacy
+/// multi-tenant machinery on; `None` (the default) is the
 /// single-maintainer mode.
 #[derive(Debug, Clone)]
 pub struct TenancySetup {
@@ -52,34 +53,15 @@ pub struct TenancySetup {
     pub tenants: Vec<TenantSpec>,
     /// Vendor admission policy.
     pub policy: OverbookingPolicy,
-    /// Watermark-based capacity reclamation for the vendor tick.
-    pub reclamation: ReclamationConfig,
-    /// Derive measured pressure from pool occupancy instead of the
-    /// exogenous profiled signal.
-    pub endogenous_pressure: bool,
-    /// Vendor control-loop period, seconds.
-    pub vendor_tick_s: f64,
 }
 
 impl TenancySetup {
-    /// A setup with the given fleet and overbooking ratio, endogenous
-    /// pressure on, default reclamation and a 5 s vendor tick.
+    /// A setup with the given fleet and overbooking ratio.
     pub fn new(tenants: Vec<TenantSpec>, ratio: f64) -> Self {
         TenancySetup {
             tenants,
             policy: OverbookingPolicy { ratio },
-            reclamation: ReclamationConfig::default(),
-            endogenous_pressure: true,
-            vendor_tick_s: 5.0,
         }
-    }
-
-    /// True when the setup changes nothing observable: no tenants means
-    /// no admission, no vendor tick and no interference service. The
-    /// runtime uses this to keep such runs byte-identical with the
-    /// legacy path.
-    pub fn is_noop(&self) -> bool {
-        self.tenants.is_empty() && !self.endogenous_pressure
     }
 }
 
@@ -105,27 +87,4 @@ pub struct TenancySummary {
     pub reclamations: u64,
     /// The vendor's books.
     pub ledger: VendorLedger,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn noop_requires_empty_fleet_and_exogenous_pressure() {
-        let mut s = TenancySetup::new(Vec::new(), 1.5);
-        assert!(!s.is_noop(), "endogenous pressure is observable");
-        s.endogenous_pressure = false;
-        assert!(s.is_noop());
-        s.tenants = FleetBuilder::new(1).tenants(2).build();
-        assert!(!s.is_noop(), "a fleet is observable");
-    }
-
-    #[test]
-    fn default_setup_is_endogenous() {
-        let s = TenancySetup::new(FleetBuilder::new(7).tenants(3).build(), 2.0);
-        assert!(s.endogenous_pressure);
-        assert_eq!(s.policy.ratio, 2.0);
-        assert!(s.vendor_tick_s > 0.0);
-    }
 }

@@ -100,40 +100,46 @@ impl OverbookingPolicy {
     }
 }
 
-/// Watermark-based capacity reclamation. When pool utilisation crosses
-/// the high watermark the vendor clamps every tenant's container cap to
-/// `throttled_cap` (reclaiming headroom for the pool as a whole); when
-/// it falls below the low watermark the clamp is lifted. Hysteresis
-/// between the two watermarks prevents flapping.
-#[derive(Debug, Clone, Copy)]
-pub struct ReclamationConfig {
-    /// Pool utilisation above which tenant caps are throttled.
-    pub high_watermark: f64,
-    /// Pool utilisation below which throttled caps are restored.
-    pub low_watermark: f64,
-    /// Per-tenant container cap while throttled.
-    pub throttled_cap: u32,
+/// Pool utilisation at or above which tenant caps are throttled.
+const HIGH_WATERMARK: f64 = 0.90;
+/// Pool utilisation below which throttled caps are restored.
+const LOW_WATERMARK: f64 = 0.70;
+/// Per-tenant container cap while throttled.
+const THROTTLED_CAP: u32 = 4;
+
+/// Watermark-based capacity reclamation, the vendor's overbooking
+/// control loop. When peak pool utilisation reaches the high watermark
+/// (0.90) the vendor clamps every tenant's container cap to 4,
+/// reclaiming headroom for the pool as a whole; when it falls below the
+/// low watermark (0.70) the clamp is lifted. Hysteresis between the two
+/// watermarks prevents flapping. The in-run vendor tick and the fleet's
+/// epoch exchange both step one of these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reclamation {
+    /// Whether tenant caps are currently throttled.
+    pub throttled: bool,
+    /// Throttle activations so far.
+    pub activations: u64,
 }
 
-impl Default for ReclamationConfig {
-    fn default() -> Self {
-        ReclamationConfig {
-            high_watermark: 0.90,
-            low_watermark: 0.70,
-            throttled_cap: 4,
-        }
-    }
-}
-
-impl ReclamationConfig {
-    /// One step of the reclamation state machine: given the current
-    /// throttle state and pool utilisation, return the new state.
-    pub fn step(&self, throttled: bool, utilization: f64) -> bool {
-        if throttled {
-            utilization >= self.low_watermark
+impl Reclamation {
+    /// One step of the state machine at peak pool utilisation `peak`.
+    /// When the throttle state flips, returns the container cap to
+    /// apply to every tenant: `Some(Some(4))` on throttling and
+    /// `Some(None)`, no cap, on restoring. Returns `None` when nothing
+    /// changes.
+    pub fn step(&mut self, peak: f64) -> Option<Option<u32>> {
+        let throttled = if self.throttled {
+            peak >= LOW_WATERMARK
         } else {
-            utilization >= self.high_watermark
+            peak >= HIGH_WATERMARK
+        };
+        if throttled == self.throttled {
+            return None;
         }
+        self.throttled = throttled;
+        self.activations += u64::from(throttled);
+        Some(throttled.then_some(THROTTLED_CAP))
     }
 }
 
@@ -217,10 +223,14 @@ mod tests {
 
     #[test]
     fn reclamation_hysteresis() {
-        let r = ReclamationConfig::default();
-        assert!(!r.step(false, 0.85), "below high watermark stays off");
-        assert!(r.step(false, 0.95), "above high watermark throttles");
-        assert!(r.step(true, 0.80), "between watermarks stays throttled");
-        assert!(!r.step(true, 0.60), "below low watermark restores");
+        let mut r = Reclamation::default();
+        assert_eq!(r.step(0.85), None, "below high watermark stays off");
+        assert_eq!(r.step(0.95), Some(Some(4)), "above high throttles");
+        assert_eq!(r.step(0.80), None, "between watermarks stays throttled");
+        assert!(r.throttled);
+        assert_eq!(r.step(0.60), Some(None), "below low watermark restores");
+        assert!(!r.throttled);
+        assert_eq!(r.step(0.90), Some(Some(4)), "at high throttles");
+        assert_eq!(r.activations, 2);
     }
 }
