@@ -14,10 +14,20 @@
 //!
 //! The Amoeba-NoP ablation (§VII-D) skips step 1 for switches toward
 //! serverless: the router flips immediately and queries eat cold starts.
+//!
+//! The engine also owns both of the protocol's deadlines: the ack
+//! deadline on a prepare signal ([`HybridEngine::poll_deadline`]) and the
+//! drain watchdog on a released VM group
+//! ([`HybridEngine::take_overdue_drain`]).
 
 use amoeba_platform::{NodeId, ServiceId, TargetId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{DeployMode, SwitchPhase, SwitchRecord, TelemetryEvent, TelemetrySink};
+
+/// How long the engine waits for a released VM group's drained ack
+/// before the control tick reclaims the group forcibly. The §V shutdown
+/// step must terminate even if completions are lost.
+pub const DRAIN_TIMEOUT_S: f64 = 60.0;
 
 /// What the engine asks the runtime to do on the cluster. Every action
 /// names a [`TargetId`] — node × mode — rather than implying one of two
@@ -72,6 +82,18 @@ struct ServiceRoute {
     last_switch: SimTime,
     /// Switch history for Fig. 12: (time, new mode, load at switch).
     history: Vec<(SimTime, DeployMode, f64)>,
+    /// Drain watchdog: armed by every release of the VM group, disarmed
+    /// by its drained ack and by every prepare that re-activates it (a
+    /// release can land while the group is still booting, so its drained
+    /// ack may never come before the switch back).
+    drain_deadline: Option<SimTime>,
+}
+
+impl ServiceRoute {
+    /// A release of the VM group was issued at `now`.
+    fn arm_drain(&mut self, now: SimTime) {
+        self.drain_deadline = Some(now + SimDuration::from_secs_f64(DRAIN_TIMEOUT_S));
+    }
 }
 
 /// What [`HybridEngine::poll_deadline`] did about an overdue ack.
@@ -154,6 +176,7 @@ impl HybridEngine {
                     transition: Transition::Steady,
                     last_switch: SimTime::ZERO,
                     history: Vec::new(),
+                    drain_deadline: None,
                 })
                 .collect(),
             home: vec![NodeId::ZERO; n],
@@ -269,6 +292,7 @@ impl HybridEngine {
                     r.mode = DeployMode::Serverless;
                     r.last_switch = now;
                     r.history.push((now, DeployMode::Serverless, load));
+                    r.arm_drain(now);
                     for phase in [
                         SwitchPhase::Requested,
                         SwitchPhase::Flip,
@@ -290,6 +314,7 @@ impl HybridEngine {
                     requested_at: now,
                     retries: 0,
                 };
+                r.drain_deadline = None;
                 emit_phase(
                     sink,
                     now,
@@ -347,10 +372,13 @@ impl HybridEngine {
             emit_phase(sink, now, service, from, target, phase, 0, load);
         }
         match target {
-            DeployMode::Serverless => vec![EngineAction::Release {
-                service,
-                target: TargetId::iaas(home),
-            }],
+            DeployMode::Serverless => {
+                r.arm_drain(now);
+                vec![EngineAction::Release {
+                    service,
+                    target: TargetId::iaas(home),
+                }]
+            }
             DeployMode::Iaas => vec![EngineAction::Release {
                 service,
                 target: TargetId::serverless(home),
@@ -394,10 +422,13 @@ impl HybridEngine {
                 service,
                 target: TargetId::serverless(home),
             }],
-            DeployMode::Iaas => vec![EngineAction::Release {
-                service,
-                target: TargetId::iaas(home),
-            }],
+            DeployMode::Iaas => {
+                r.arm_drain(now);
+                vec![EngineAction::Release {
+                    service,
+                    target: TargetId::iaas(home),
+                }]
+            }
         }
     }
 
@@ -442,6 +473,9 @@ impl HybridEngine {
                 requested_at: now,
                 retries: retries + 1,
             };
+            if target == DeployMode::Iaas {
+                r.drain_deadline = None;
+            }
             let actions = vec![EngineAction::Prepare {
                 service,
                 target: TargetId {
@@ -463,6 +497,45 @@ impl HybridEngine {
                 requested_at,
             })
         }
+    }
+
+    /// The released VM group has finished its in-flight queries: the
+    /// span's terminal step. Disarms the drain watchdog and emits the
+    /// `Drained` stage; `load` is evaluated only when `sink` records.
+    pub fn on_drained<S: TelemetrySink + ?Sized>(
+        &mut self,
+        service: ServiceId,
+        now: SimTime,
+        load: impl FnOnce() -> f64,
+        sink: &mut S,
+    ) {
+        self.routes[service.raw() as usize].drain_deadline = None;
+        if sink.enabled() {
+            emit_phase(
+                sink,
+                now,
+                service,
+                DeployMode::Iaas,
+                DeployMode::Serverless,
+                SwitchPhase::Drained,
+                0,
+                load(),
+            );
+        }
+    }
+
+    /// Enforce the drain watchdog: true when the service's released VM
+    /// group has not acked its drain within [`DRAIN_TIMEOUT_S`] of the
+    /// release, in which case the deadline is disarmed and the caller
+    /// reclaims the group forcibly. The runtime checks on every control
+    /// tick.
+    pub fn take_overdue_drain(&mut self, service: ServiceId, now: SimTime) -> bool {
+        let r = &mut self.routes[service.raw() as usize];
+        let overdue = matches!(r.drain_deadline, Some(dl) if now >= dl);
+        if overdue {
+            r.drain_deadline = None;
+        }
+        overdue
     }
 }
 
@@ -794,6 +867,58 @@ mod tests {
         assert!(s.requested < s.ack.unwrap());
         assert_eq!(s.ack, s.flip, "router flips on the ack");
         assert_eq!(s.prewarm_duration().unwrap(), t(13) - t(10));
+    }
+
+    #[test]
+    fn iaas_release_arms_the_drain_watchdog_and_iaas_prepare_disarms_it() {
+        let mut sink = NoopSink;
+        let drain = SimDuration::from_secs_f64(DRAIN_TIMEOUT_S);
+        // Fires once, at `released + DRAIN_TIMEOUT_S` and not before.
+        let armed_at = |e: &mut HybridEngine, released: SimTime| {
+            let just_before = released + drain - SimDuration::from_micros(1);
+            !e.take_overdue_drain(S, just_before) && e.take_overdue_drain(S, released + drain)
+        };
+        // A prewarm does not touch the VM group; the flip that follows
+        // its ack releases the group and arms the watchdog.
+        let flipped_at = |released: SimTime| {
+            let mut e = HybridEngine::new(1, DeployMode::Iaas, true);
+            e.set_ack_policy(SimDuration::from_secs(10), 1);
+            e.begin_switch(S, DeployMode::Serverless, 3, 1.0, t(0), &mut NoopSink);
+            assert!(!e.take_overdue_drain(S, t(1000)));
+            e.on_ready(S, DeployMode::Serverless, 1.0, released, &mut NoopSink);
+            e
+        };
+        let mut e = flipped_at(t(5));
+        assert!(armed_at(&mut e, t(5)));
+        assert!(!e.take_overdue_drain(S, t(1000)), "taking disarms");
+        // Switching back to IaaS re-activates the group: a stale
+        // deadline must not force-drain it, nor may a stale ack re-arm.
+        let mut e = flipped_at(t(5));
+        e.begin_switch(S, DeployMode::Iaas, 0, 50.0, t(10), &mut sink);
+        e.on_ready(S, DeployMode::Serverless, 1.0, t(11), &mut sink);
+        assert!(!e.take_overdue_drain(S, t(1000)));
+        // A retried IaaS prepare keeps it disarmed; the abort that
+        // releases the prepared group arms it.
+        let retried = e.poll_deadline(S, t(20), &mut sink);
+        assert!(matches!(retried, Some(DeadlineAction::Retried { .. })));
+        assert!(!e.take_overdue_drain(S, t(39)));
+        let aborted = e.poll_deadline(S, t(40), &mut sink);
+        assert!(matches!(aborted, Some(DeadlineAction::Aborted { .. })));
+        assert!(armed_at(&mut e, t(40)));
+        // The NoP flip releases the group at once; its drained ack
+        // disarms the watchdog.
+        let mut nop = HybridEngine::new(1, DeployMode::Iaas, false);
+        nop.begin_switch(S, DeployMode::Serverless, 0, 1.0, t(0), &mut sink);
+        nop.on_drained(S, t(3), || unreachable!("no sink records"), &mut sink);
+        assert!(!nop.take_overdue_drain(S, t(1000)));
+        nop.begin_switch(S, DeployMode::Iaas, 0, 50.0, t(100), &mut sink);
+        nop.on_ready(S, DeployMode::Iaas, 50.0, t(110), &mut sink);
+        assert!(
+            !nop.take_overdue_drain(S, t(1000)),
+            "a pool release arms nothing"
+        );
+        nop.begin_switch(S, DeployMode::Serverless, 0, 1.0, t(200), &mut sink);
+        assert!(armed_at(&mut nop, t(200)));
     }
 
     #[test]
