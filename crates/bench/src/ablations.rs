@@ -5,7 +5,7 @@
 
 use crate::report::{row, Report};
 use crate::scenarios::{
-    foregrounds, par_map, run_cell, run_cell_traced, standard_scenario, DEFAULT_DAY_S, DEFAULT_SEED,
+    foregrounds, par_map, run_cell, run_cell_traced, standard_scenario, DEFAULT_DAY_S,
 };
 use crate::steady::max_steady_qps;
 use amoeba_core::controller::ServiceModel;
@@ -334,17 +334,6 @@ pub fn ablation_slowdown() -> Report {
     }
     r.json = json!(out);
     r
-}
-
-/// All ablation reports at default scale.
-pub fn all() -> Vec<Report> {
-    vec![
-        fig14(DEFAULT_DAY_S, DEFAULT_SEED),
-        fig15(DEFAULT_SEED),
-        fig16(DEFAULT_DAY_S, DEFAULT_SEED),
-        overhead(DEFAULT_DAY_S, DEFAULT_SEED),
-        ablation_slowdown(),
-    ]
 }
 
 #[cfg(test)]

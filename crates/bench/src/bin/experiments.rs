@@ -2,8 +2,10 @@
 //! paper.
 //!
 //! ```text
-//! experiments [all|investigation|profiling|evaluation|ablations|<id>...] [--json DIR] [--smoke]
+//! experiments [all|<group>|<id>...] [--json DIR] [--smoke]
 //! ```
+//!
+//! Groups: investigation profiling evaluation ablations extensions.
 //!
 //! Known ids: table2 table3 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12
 //! fig13 fig14 fig15 fig16 overhead ablation-slowdown cost
@@ -21,101 +23,110 @@ use amoeba_bench::{
 use amoeba_bench::{DEFAULT_DAY_S, DEFAULT_SEED};
 use std::io::Write;
 
-fn by_id(id: &str, smoke: bool) -> Option<Report> {
-    let r = match id {
-        "table2" => investigation::table2(),
-        "table3" => investigation::table3(),
-        "fig2" => investigation::fig2(DEFAULT_DAY_S, DEFAULT_SEED),
-        "fig3" => investigation::fig3(DEFAULT_SEED),
-        "fig4" => investigation::fig4(DEFAULT_SEED),
-        "fig8" => profiling::fig8(DEFAULT_SEED),
-        "fig9" => profiling::fig9(),
-        "fig10" => evaluation::fig10(DEFAULT_DAY_S, DEFAULT_SEED),
-        "fig11" => evaluation::fig11(DEFAULT_DAY_S, DEFAULT_SEED),
-        "fig12" => evaluation::fig12(DEFAULT_DAY_S, DEFAULT_SEED),
-        "fig13" => evaluation::fig13(DEFAULT_DAY_S, DEFAULT_SEED),
-        "fig14" => ablations::fig14(DEFAULT_DAY_S, DEFAULT_SEED),
-        "fig15" => ablations::fig15(DEFAULT_SEED),
-        "fig16" => ablations::fig16(DEFAULT_DAY_S, DEFAULT_SEED),
-        "overhead" => ablations::overhead(DEFAULT_DAY_S, DEFAULT_SEED),
-        "ablation-slowdown" => ablations::ablation_slowdown(),
-        "cost" => extensions::cost(DEFAULT_DAY_S, DEFAULT_SEED),
-        "ablation-prewarm" => extensions::ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED),
-        "ablation-percentile" => extensions::ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED),
-        "week" => extensions::week(DEFAULT_DAY_S, DEFAULT_SEED),
-        "trace" => extensions::trace_summary(DEFAULT_DAY_S, DEFAULT_SEED),
-        "forecast" => forecast::forecast(DEFAULT_DAY_S, DEFAULT_SEED),
-        "resilience" => resilience::resilience(DEFAULT_DAY_S, DEFAULT_SEED),
-        "multinode" => {
-            if smoke {
-                multinode::multinode(120.0, DEFAULT_SEED, 1)
-            } else {
-                multinode::multinode(DEFAULT_DAY_S, DEFAULT_SEED, 2)
-            }
-        }
-        "workflow" => {
-            if smoke {
-                workflow::workflow(120.0, DEFAULT_SEED, 1)
-            } else {
-                workflow::workflow(DEFAULT_DAY_S, DEFAULT_SEED, 2)
-            }
-        }
-        "multitenant" => {
-            if smoke {
-                multitenant::multitenant(120.0, DEFAULT_SEED, 6, &[1.0, 2.0])
-            } else {
-                multitenant::multitenant(
-                    DEFAULT_DAY_S,
-                    DEFAULT_SEED,
-                    multitenant::FLEET,
-                    &multitenant::RATIOS,
-                )
-            }
-        }
-        "fleet" => {
-            if smoke {
-                fleet::fleet(24, 1.0, 90.0, &[1, 2])
-            } else {
-                fleet::fleet(
-                    fleet::FLEET_SERVICES,
-                    fleet::FLEET_DAYS,
-                    fleet::FLEET_DAY_S,
-                    &[1, 2, 4, 8],
-                )
-            }
-        }
-        _ => return None,
-    };
-    Some(r)
-}
+/// Builds one report; the flag is `--smoke`, which shrinks the
+/// `multinode`, `workflow`, `multitenant` and `fleet` reports.
+type Build = fn(bool) -> Report;
 
-const GROUPS: &[(&str, &[&str])] = &[
-    (
-        "investigation",
-        &["table2", "table3", "fig2", "fig3", "fig4"],
-    ),
-    ("profiling", &["fig8", "fig9"]),
-    ("evaluation", &["fig10", "fig11", "fig12", "fig13"]),
-    (
-        "ablations",
-        &["fig14", "fig15", "fig16", "overhead", "ablation-slowdown"],
-    ),
-    (
-        "extensions",
-        &[
-            "cost",
-            "ablation-prewarm",
-            "ablation-percentile",
-            "week",
-            "trace",
-            "forecast",
-            "resilience",
-            "multinode",
-            "workflow",
-            "multitenant",
-            "fleet",
-        ],
-    ),
+/// Every report, in the order `all` runs them: its id, the group that
+/// runs it, and how to build it.
+const REPORTS: &[(&str, &str, Build)] = &[
+    ("table2", "investigation", |_| investigation::table2()),
+    ("table3", "investigation", |_| investigation::table3()),
+    ("fig2", "investigation", |_| {
+        investigation::fig2(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("fig3", "investigation", |_| {
+        investigation::fig3(DEFAULT_SEED)
+    }),
+    ("fig4", "investigation", |_| {
+        investigation::fig4(DEFAULT_SEED)
+    }),
+    ("fig8", "profiling", |_| profiling::fig8(DEFAULT_SEED)),
+    ("fig9", "profiling", |_| profiling::fig9()),
+    ("fig10", "evaluation", |_| {
+        evaluation::fig10(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("fig11", "evaluation", |_| {
+        evaluation::fig11(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("fig12", "evaluation", |_| {
+        evaluation::fig12(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("fig13", "evaluation", |_| {
+        evaluation::fig13(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("fig14", "ablations", |_| {
+        ablations::fig14(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("fig15", "ablations", |_| ablations::fig15(DEFAULT_SEED)),
+    ("fig16", "ablations", |_| {
+        ablations::fig16(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("overhead", "ablations", |_| {
+        ablations::overhead(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("ablation-slowdown", "ablations", |_| {
+        ablations::ablation_slowdown()
+    }),
+    ("cost", "extensions", |_| {
+        extensions::cost(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("ablation-prewarm", "extensions", |_| {
+        extensions::ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("ablation-percentile", "extensions", |_| {
+        extensions::ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("week", "extensions", |_| {
+        extensions::week(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("trace", "extensions", |_| {
+        extensions::trace_summary(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("forecast", "extensions", |_| {
+        forecast::forecast(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("resilience", "extensions", |_| {
+        resilience::resilience(DEFAULT_DAY_S, DEFAULT_SEED)
+    }),
+    ("multinode", "extensions", |smoke| {
+        if smoke {
+            multinode::multinode(120.0, DEFAULT_SEED, 1)
+        } else {
+            multinode::multinode(DEFAULT_DAY_S, DEFAULT_SEED, 2)
+        }
+    }),
+    ("workflow", "extensions", |smoke| {
+        if smoke {
+            workflow::workflow(120.0, DEFAULT_SEED, 1)
+        } else {
+            workflow::workflow(DEFAULT_DAY_S, DEFAULT_SEED, 2)
+        }
+    }),
+    ("multitenant", "extensions", |smoke| {
+        if smoke {
+            multitenant::multitenant(120.0, DEFAULT_SEED, 6, &[1.0, 2.0])
+        } else {
+            multitenant::multitenant(
+                DEFAULT_DAY_S,
+                DEFAULT_SEED,
+                multitenant::FLEET,
+                &multitenant::RATIOS,
+            )
+        }
+    }),
+    ("fleet", "extensions", |smoke| {
+        if smoke {
+            fleet::fleet(24, 1.0, 90.0, &[1, 2])
+        } else {
+            fleet::fleet(
+                fleet::FLEET_SERVICES,
+                fleet::FLEET_DAYS,
+                fleet::FLEET_DAY_S,
+                &[1, 2, 4, 8],
+            )
+        }
+    }),
 ];
 
 fn main() {
@@ -134,24 +145,28 @@ fn main() {
         targets.push("all".into());
     }
 
-    let mut ids: Vec<String> = Vec::new();
+    // A target is `all`, a group or one id; an unknown one stops the
+    // run when it is reached.
+    let mut ids: Vec<&str> = Vec::new();
     for t in &targets {
-        if t == "all" {
-            for (_, group) in GROUPS {
-                ids.extend(group.iter().map(|s| s.to_string()));
-            }
-        } else if let Some((_, group)) = GROUPS.iter().find(|(g, _)| g == t) {
-            ids.extend(group.iter().map(|s| s.to_string()));
+        let group: Vec<&str> = REPORTS
+            .iter()
+            .filter(|&&(_, g, _)| t == "all" || t == g)
+            .map(|&(id, _, _)| id)
+            .collect();
+        if group.is_empty() {
+            ids.push(t);
         } else {
-            ids.push(t.clone());
+            ids.extend(group);
         }
     }
 
     for id in ids {
-        let Some(report) = by_id(&id, smoke) else {
+        let Some(&(_, _, build)) = REPORTS.iter().find(|&&(known, _, _)| known == id) else {
             eprintln!("unknown experiment id: {id}");
             std::process::exit(2);
         };
+        let report = build(smoke);
         println!("{}", report.render());
         if let Some(dir) = &json_dir {
             std::fs::create_dir_all(dir).expect("create json dir");
@@ -163,6 +178,21 @@ fn main() {
                 "data": report.json,
             });
             writeln!(f, "{}", amoeba_json::to_string_pretty(&blob).unwrap()).expect("write json");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::REPORTS;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn report_ids_are_unique_and_shadow_no_group() {
+        let ids: BTreeSet<&str> = REPORTS.iter().map(|&(id, _, _)| id).collect();
+        assert_eq!(ids.len(), REPORTS.len(), "duplicate report id");
+        for &(_, group, _) in REPORTS {
+            assert!(!ids.contains(group) && group != "all", "{group}");
         }
     }
 }

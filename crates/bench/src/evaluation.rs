@@ -2,7 +2,7 @@
 //! Fig. 12 (switch timeline), Fig. 13 (usage timeline).
 
 use crate::report::{row, Report};
-use crate::scenarios::{foregrounds, par_map, run_cell, DEFAULT_DAY_S, DEFAULT_SEED};
+use crate::scenarios::{foregrounds, par_map, run_cell};
 use amoeba_core::{DeployMode, RunResult, SystemVariant};
 use amoeba_json::json;
 use amoeba_metrics::Cdf;
@@ -220,16 +220,6 @@ pub fn fig13(day_s: f64, seed: u64) -> Report {
     }
     r.json = json!(out);
     r
-}
-
-/// All evaluation reports at default scale.
-pub fn all() -> Vec<Report> {
-    vec![
-        fig10(DEFAULT_DAY_S, DEFAULT_SEED),
-        fig11(DEFAULT_DAY_S, DEFAULT_SEED),
-        fig12(DEFAULT_DAY_S, DEFAULT_SEED),
-        fig13(DEFAULT_DAY_S, DEFAULT_SEED),
-    ]
 }
 
 #[cfg(test)]

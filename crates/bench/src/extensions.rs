@@ -3,9 +3,7 @@
 //! sizing, percentile estimator).
 
 use crate::report::{row, Report};
-use crate::scenarios::{
-    foregrounds, par_map, run_cell, run_cell_traced, standard_scenario, DEFAULT_DAY_S, DEFAULT_SEED,
-};
+use crate::scenarios::{foregrounds, par_map, run_cell, run_cell_traced, standard_scenario};
 use amoeba_core::{Experiment, ServiceSetup, SystemVariant};
 use amoeba_json::json;
 use amoeba_metrics::{CostModel, LogHistogram};
@@ -280,17 +278,6 @@ pub fn trace_summary(day_s: f64, seed: u64) -> Report {
         "services": services,
     });
     r
-}
-
-/// All extension reports at default scale.
-pub fn all() -> Vec<Report> {
-    vec![
-        cost(DEFAULT_DAY_S, DEFAULT_SEED),
-        ablation_prewarm(DEFAULT_DAY_S, DEFAULT_SEED),
-        ablation_percentile(DEFAULT_DAY_S, DEFAULT_SEED),
-        week(DEFAULT_DAY_S, DEFAULT_SEED),
-        trace_summary(DEFAULT_DAY_S, DEFAULT_SEED),
-    ]
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! §II investigation experiments: Table III, Fig. 2, Fig. 3, Fig. 4.
 
 use crate::report::{row, Report};
-use crate::scenarios::{par_map, run_cell, DEFAULT_DAY_S, DEFAULT_SEED};
+use crate::scenarios::{par_map, run_cell, DEFAULT_DAY_S};
 use crate::steady::max_steady_qps;
 use amoeba_core::SystemVariant;
 use amoeba_json::json;
@@ -265,17 +265,6 @@ pub fn fig4(seed: u64) -> Report {
     }
     r.json = json!(rows);
     r
-}
-
-/// All §II investigation reports at the default scale.
-pub fn all() -> Vec<Report> {
-    vec![
-        table2(),
-        table3(),
-        fig2(DEFAULT_DAY_S, DEFAULT_SEED),
-        fig3(DEFAULT_SEED),
-        fig4(DEFAULT_SEED),
-    ]
 }
 
 #[cfg(test)]

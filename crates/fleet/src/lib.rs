@@ -40,5 +40,5 @@ mod run;
 mod spec;
 
 pub use digest::{fnv1a, DigestSink, FNV_OFFSET};
-pub use run::{FleetOutcome, FleetRun, FleetTotals, ShardPlan};
+pub use run::{FleetOutcome, FleetRun, FleetTotals};
 pub use spec::{assign_cell, FleetSpec};

@@ -58,16 +58,8 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # Exercise the multi-node, workflow, multi-tenant and fleet report
 # paths end to end (short day, small fleet, one seed); the release
 # binary is already built above.
-echo "== experiments multinode --smoke =="
-cargo run --locked --release -q -p amoeba-bench --bin experiments -- multinode --smoke
-
-echo "== experiments workflow --smoke =="
-cargo run --locked --release -q -p amoeba-bench --bin experiments -- workflow --smoke
-
-echo "== experiments multitenant --smoke =="
-cargo run --locked --release -q -p amoeba-bench --bin experiments -- multitenant --smoke
-
-echo "== experiments fleet --smoke =="
-cargo run --locked --release -q -p amoeba-bench --bin experiments -- fleet --smoke
+echo "== experiments multinode workflow multitenant fleet --smoke =="
+cargo run --locked --release -q -p amoeba-bench --bin experiments -- \
+  multinode workflow multitenant fleet --smoke
 
 echo "tier1: all green"
