@@ -9,7 +9,7 @@
 //! for custom shapes. §II-A: "The actual fluctuate pattern does not affect
 //! the analysis."
 
-use amoeba_sim::{Distributions, SimRng, SimTime};
+use amoeba_sim::SimTime;
 
 /// A normalised 24-point diurnal shape (hourly multipliers in `[0, 1]`,
 /// max = 1 at the peak hour), interpolated linearly between points and
@@ -153,7 +153,7 @@ impl DiurnalPattern {
 
 /// A concrete load trace: a diurnal shape scaled to a peak QPS, an
 /// optionally compressed day length (so a full diurnal cycle fits in a
-/// short simulation), multiplicative noise, and optional load bursts
+/// short simulation), and optional load bursts
 /// (§II-E: "Amoeba should be able to capture the load change").
 ///
 /// # Examples
@@ -174,7 +174,6 @@ pub struct LoadTrace {
     pattern: DiurnalPattern,
     peak_qps: f64,
     day_seconds: f64,
-    noise_sigma: f64,
     bursts: Vec<Burst>,
     /// Optional per-day-of-week scale factors (cycle of 7 days); `None`
     /// means every day is identical.
@@ -201,7 +200,6 @@ impl LoadTrace {
             pattern,
             peak_qps,
             day_seconds,
-            noise_sigma: 0.0,
             bursts: Vec::new(),
             weekly: None,
         }
@@ -213,14 +211,6 @@ impl LoadTrace {
     pub fn with_weekly_scale(mut self, weekly: [f64; 7]) -> Self {
         assert!(weekly.iter().all(|&f| (0.0..=1.0).contains(&f)));
         self.weekly = Some(weekly);
-        self
-    }
-
-    /// Add multiplicative lognormal-ish noise with the given sigma
-    /// (sampled per call to [`Self::rate_at_noisy`]).
-    pub fn with_noise(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0);
-        self.noise_sigma = sigma;
         self
     }
 
@@ -258,22 +248,11 @@ impl LoadTrace {
         rate
     }
 
-    /// The rate with multiplicative noise applied, still non-negative.
-    pub fn rate_at_noisy(&self, t: SimTime, rng: &mut SimRng) -> f64 {
-        let base = self.rate_at(t);
-        if self.noise_sigma == 0.0 {
-            return base;
-        }
-        (base * rng.lognormal(0.0, self.noise_sigma)).max(0.0)
-    }
-
     /// Upper bound on the rate over the whole trace — the thinning bound
-    /// for the non-homogeneous Poisson sampler. Includes bursts and a
-    /// noise allowance (3σ of the lognormal multiplier).
+    /// for the non-homogeneous Poisson sampler. Includes bursts.
     pub fn rate_upper_bound(&self) -> f64 {
         let burst_extra: f64 = self.bursts.iter().map(|b| b.magnitude).fold(0.0, f64::max);
-        let noise_factor = (3.0 * self.noise_sigma).exp();
-        (self.peak_qps * (1.0 + burst_extra)) * noise_factor
+        self.peak_qps * (1.0 + burst_extra)
     }
 }
 
@@ -441,27 +420,5 @@ mod tests {
         for i in 0..1400 {
             assert!(tr.rate_at(SimTime::from_secs(i)) <= ub + 1e-9);
         }
-    }
-
-    #[test]
-    fn noise_perturbs_but_stays_nonnegative() {
-        let tr = LoadTrace::new(DiurnalPattern::flat(0.5), 10.0, 100.0).with_noise(0.3);
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut saw_different = false;
-        for i in 0..100 {
-            let r = tr.rate_at_noisy(SimTime::from_secs(i), &mut rng);
-            assert!(r >= 0.0);
-            if (r - 5.0).abs() > 1e-6 {
-                saw_different = true;
-            }
-        }
-        assert!(saw_different);
-    }
-
-    #[test]
-    fn zero_noise_is_deterministic() {
-        let tr = LoadTrace::new(DiurnalPattern::flat(1.0), 10.0, 100.0);
-        let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(tr.rate_at_noisy(SimTime::from_secs(5), &mut rng), 10.0);
     }
 }
