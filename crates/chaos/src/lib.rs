@@ -15,8 +15,9 @@
 //!
 //! - the same seed and the same plan produce bit-identical fault
 //!   sequences (and therefore bit-identical run traces), and
-//! - a run with **no** plan draws nothing from the injector stream and
-//!   is bit-identical to a run built before this crate existed.
+//! - the zero plan ([`FaultPlan::default`]), which a run without a plan
+//!   set gets, schedules nothing and fails no decision: its run is
+//!   bit-identical to one built before this crate existed.
 //!
 //! The injector never touches the simulation directly; the `core`
 //! runtime schedules the [`TimedFault`]s into its event loop and calls
@@ -36,8 +37,8 @@ const CHAOS_STREAM: u64 = 0xC4A0_5F41_7B1D_0001;
 /// A declarative fault-injection plan: rates are events per simulated
 /// hour (Poisson processes), probabilities are per-opportunity.
 ///
-/// The default plan is all-zero — no faults — and a runtime handed the
-/// default plan behaves bit-identically to one handed no plan at all.
+/// The default plan is all-zero — no faults — and is the one form "no
+/// faults" takes: a runtime with no plan set runs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Container crashes per simulated hour. Each crash kills one
