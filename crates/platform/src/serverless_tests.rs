@@ -630,3 +630,180 @@ fn busy_containers_are_never_evicted() {
     let a_out = outcomes.iter().find(|o| o.query.service == a).unwrap();
     assert_eq!(a_out.breakdown.queue_wait, SimDuration::ZERO);
 }
+
+/// One step of [`long_multi_service_queue_is_pinned`]'s driver.
+enum PinStep {
+    Platform(ClusterEvent),
+    Arrive(usize),
+    Throttle,
+    Release,
+}
+
+/// The driver's event queue plus everything it folds and counts.
+struct PinDriver {
+    events: amoeba_sim::EventQueue<PinStep>,
+    digest: u64,
+    completed: Vec<u64>,
+}
+
+impl PinDriver {
+    fn fold(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.digest ^= u64::from(b);
+            self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold every effect into the digest and schedule what it asks for.
+    fn absorb(&mut self, now: SimTime, effects: Vec<Effect>) {
+        for e in effects {
+            match e {
+                Effect::Schedule { after, event } => {
+                    self.fold(1);
+                    self.fold(after.as_micros());
+                    self.events.push(now + after, PinStep::Platform(event));
+                }
+                Effect::Completed(o) => {
+                    self.fold(2);
+                    self.fold(o.query.id.raw());
+                    self.fold(o.completed.as_micros());
+                    let b = o.breakdown;
+                    for d in [
+                        b.queue_wait,
+                        b.cold_start,
+                        b.auth,
+                        b.code_load,
+                        b.result_post,
+                        b.exec,
+                    ] {
+                        self.fold(d.as_micros());
+                    }
+                    self.completed.push(o.query.id.raw());
+                }
+                Effect::PrewarmReady { service } => {
+                    self.fold(3);
+                    self.fold(u64::from(service.raw()));
+                }
+                other => panic!("the serverless pool emitted {other:?}"),
+            }
+        }
+    }
+}
+
+/// A seeded multi-service driver pinned to one FNV-1a digest. Four
+/// services of different demand shapes share a pool of eight
+/// containers through two overload bursts, so the FIFO grows past 100
+/// queries. `float` is throttled to two containers, then restored and
+/// prewarmed while one of its queries waits behind the throttle;
+/// `linpack` is released and `dd` prewarmed; keep-alive is short
+/// enough for idle containers to expire under a long queue and between
+/// bursts; and every 97th step crashes a container,
+/// resubmitting its displaced query with the original submit time the
+/// way the runtime's crash re-queue does. Every completion (id, time,
+/// breakdown), scheduled delay and prewarm ack is folded into the
+/// digest, so any change to which query runs where, or when, moves it.
+#[test]
+fn long_multi_service_queue_is_pinned() {
+    const CRASH_EVERY: u64 = 97;
+    let cfg = ServerlessConfig {
+        pool_memory_mb: 8.0 * 256.0,
+        tenant_container_cap: 4,
+        keep_alive: SimDuration::from_secs(5),
+        ..Default::default()
+    };
+    let mut p = ServerlessPlatform::new(cfg);
+    let mut rng = SimRng::seed_from_u64(20);
+    let mut arrivals = SimRng::seed_from_u64(21);
+    let mut crashes = SimRng::seed_from_u64(22);
+    let [linpack, float, dd, _cloud_stor] = [
+        benchmarks::linpack(),
+        benchmarks::float(),
+        benchmarks::dd(),
+        benchmarks::cloud_stor(),
+    ]
+    .map(|spec| p.register(spec));
+    // Queries/s per service: bursts over [0, 8) and [25, 31) s, a
+    // twentieth of that in between, nothing from 50 s on.
+    let rate = |s: usize, t: f64| {
+        let peak = [6.0, 30.0, 12.0, 10.0][s];
+        if t < 8.0 || (25.0..31.0).contains(&t) {
+            peak
+        } else {
+            peak / 20.0
+        }
+    };
+    let horizon = SimTime::from_secs(50);
+    let mut d = PinDriver {
+        events: amoeba_sim::EventQueue::new(),
+        digest: 0xcbf2_9ce4_8422_2325,
+        completed: Vec::new(),
+    };
+    for s in 0..4 {
+        let first = SimTime::from_secs_f64(arrivals.exponential(rate(s, 0.0)));
+        d.events.push(first, PinStep::Arrive(s));
+    }
+    d.events.push(SimTime::from_secs(3), PinStep::Throttle);
+    d.events.push(SimTime::from_secs(40), PinStep::Release);
+
+    let mut submitted = 0u64;
+    let mut steps = 0u64;
+    let mut max_queue = 0;
+    let mut prewarmed_while_queued = false;
+    while let Some(ev) = d.events.pop() {
+        let now = ev.time;
+        match ev.payload {
+            PinStep::Platform(event) => {
+                let eff = p.handle(event, now, &mut rng);
+                d.absorb(now, eff);
+            }
+            PinStep::Arrive(s) => {
+                let sid = ServiceId(s as u32);
+                let eff = p.submit(q(submitted, sid, now), now, &mut rng);
+                submitted += 1;
+                let queued = eff.is_empty();
+                d.absorb(now, eff);
+                if queued && sid == float && p.total_containers() < 8 && !prewarmed_while_queued {
+                    // `float` queues behind its own throttled cap, not
+                    // the pool's memory: the throttle ends and `float`
+                    // is prewarmed while the query just submitted waits.
+                    prewarmed_while_queued = true;
+                    p.set_tenant_cap(float, None);
+                    let eff = p.prewarm(float, 4, now, &mut rng);
+                    d.absorb(now, eff);
+                }
+                let next = now
+                    + SimDuration::from_secs_f64(arrivals.exponential(rate(s, now.as_secs_f64())));
+                if next < horizon {
+                    d.events.push(next, PinStep::Arrive(s));
+                }
+            }
+            PinStep::Throttle => p.set_tenant_cap(float, Some(2)),
+            PinStep::Release => {
+                p.release_service(linpack);
+                let eff = p.prewarm(dd, 3, now, &mut rng);
+                d.absorb(now, eff);
+            }
+        }
+        steps += 1;
+        if steps.is_multiple_of(CRASH_EVERY) && p.total_containers() > 0 {
+            let victim = crashes.uniform_usize(p.total_containers() as usize);
+            let (eff, report) = p.crash_container(victim, now, &mut rng);
+            d.absorb(now, eff);
+            if let Some(q) = report.and_then(|r| r.displaced) {
+                let eff = p.submit(q, now, &mut rng);
+                d.absorb(now, eff);
+            }
+        }
+        max_queue = max_queue.max(p.queue_len());
+    }
+
+    assert!(prewarmed_while_queued);
+    assert!(max_queue > 100, "the queue peaked at {max_queue}");
+    assert_eq!(d.completed.len() as u64, submitted, "every query completes");
+    d.completed.sort_unstable();
+    d.completed.dedup();
+    assert_eq!(d.completed.len() as u64, submitted, "each exactly once");
+    assert_eq!(p.queue_len(), 0);
+    assert_eq!(p.total_containers(), 0, "every container expired");
+    assert_eq!(d.digest, 0x2389_d6f3_8f97_7aca, "digest {:#018x}", d.digest);
+}
