@@ -1,5 +1,6 @@
-//! The shared serverless platform: FIFO queue, container pool, cold
-//! starts, keep-alive, prewarming and multi-resource contention.
+//! The shared serverless platform: per-service FIFO queues, container
+//! pool, cold starts, keep-alive, prewarming and multi-resource
+//! contention.
 
 use crate::cluster::{ClusterEvent, Effect};
 use crate::config::ServerlessConfig;
@@ -163,8 +164,19 @@ pub struct ServerlessPlatform {
     containers: ContainerTable,
     /// Idle warm containers per service, oldest first.
     idle: Vec<VecDeque<ContainerId>>,
-    /// The global FIFO queue of Fig. 7.
-    queue: VecDeque<Query>,
+    /// Queued queries per service, oldest first, each with its arrival
+    /// number. Together with `order` this is the FIFO queue of Fig. 7.
+    queues: Vec<VecDeque<(u64, Query)>>,
+    /// `(arrival number, service)` of queued queries across services,
+    /// oldest first. A query that leaves through a warm hit ahead of an
+    /// older one leaves its entry behind; the entry is dropped when it
+    /// reaches the front, or by a sweep once stale entries outnumber
+    /// live ones by more than 64.
+    order: VecDeque<(u64, ServiceId)>,
+    /// The next arrival number.
+    next_arrival: u64,
+    /// Queued queries across every service.
+    queued: usize,
     resources: SharedResources,
     /// Outstanding prewarm counts per service.
     prewarm_pending: Vec<u32>,
@@ -197,7 +209,10 @@ impl ServerlessPlatform {
             services: Vec::new(),
             containers: ContainerTable::new(),
             idle: Vec::new(),
-            queue: VecDeque::new(),
+            queues: Vec::new(),
+            order: VecDeque::new(),
+            next_arrival: 0,
+            queued: 0,
             resources,
             prewarm_pending: Vec::new(),
             tenant_caps: Vec::new(),
@@ -241,6 +256,7 @@ impl ServerlessPlatform {
             code_load_s,
         });
         self.idle.push(VecDeque::new());
+        self.queues.push(VecDeque::new());
         self.containers.add_service();
         self.prewarm_pending.push(0);
         self.tenant_caps.push(None);
@@ -319,7 +335,7 @@ impl ServerlessPlatform {
 
     /// Queued (not yet assigned) queries.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queued
     }
 
     /// Pool utilisation on [cpu, io, net].
@@ -378,7 +394,11 @@ impl ServerlessPlatform {
     pub fn submit(&mut self, query: Query, now: SimTime, rng: &mut SimRng) -> Vec<Effect> {
         let mut effects = Vec::new();
         if !self.try_place(query, now, rng, &mut effects) {
-            self.queue.push_back(query);
+            let arrival = self.next_arrival;
+            self.next_arrival += 1;
+            self.queues[query.service.raw() as usize].push_back((arrival, query));
+            self.order.push_back((arrival, query.service));
+            self.queued += 1;
         }
         effects
     }
@@ -560,7 +580,7 @@ impl ServerlessPlatform {
                         effects.push(Effect::PrewarmReady { service });
                     }
                 }
-                self.dispatch_queue(now, rng, &mut effects);
+                self.dispatch_queue(Some(service), now, rng, &mut effects);
             }
             _ => {}
         }
@@ -611,7 +631,7 @@ impl ServerlessPlatform {
             } else {
                 self.make_idle(cid, now, &mut effects);
             }
-            self.dispatch_queue(now, rng, &mut effects);
+            self.dispatch_queue(Some(query.service), now, rng, &mut effects);
         }
         effects
     }
@@ -652,38 +672,87 @@ impl ServerlessPlatform {
             self.idle[service.raw() as usize].retain(|&x| x != cid);
             // The freed memory slot may unblock queued queries of a
             // capped tenant.
-            self.dispatch_queue(now, rng, &mut effects);
+            self.dispatch_queue(None, now, rng, &mut effects);
         }
         effects
     }
 
-    /// Try to place queued queries. Warm hits bypass head-of-line
-    /// blocking (OpenWhisk schedules per action); cold-start placement
-    /// respects FIFO order.
-    fn dispatch_queue(&mut self, now: SimTime, rng: &mut SimRng, effects: &mut Vec<Effect>) {
+    /// Place queued queries until neither rule applies: the oldest query
+    /// starts on a warm container of its service or, if its service may
+    /// grow, on a cold one (new capacity goes out in FIFO order); failing
+    /// that, the oldest query of `woken` takes a warm hit past the
+    /// blocked head (OpenWhisk schedules per action). `woken` is the
+    /// service whose container just went idle, if any. It is the only
+    /// service that can hold an idle container and a queued query here,
+    /// because between public calls no service holds both: `submit`
+    /// takes a warm hit before it queues, every path that idles a
+    /// container ends in a dispatch, and nothing else adds idle ones.
+    fn dispatch_queue(
+        &mut self,
+        woken: Option<ServiceId>,
+        now: SimTime,
+        rng: &mut SimRng,
+        effects: &mut Vec<Effect>,
+    ) {
         loop {
-            let mut placed_idx: Option<usize> = None;
-            for (i, q) in self.queue.iter().enumerate() {
-                let has_warm = !self.idle[q.service.raw() as usize].is_empty();
-                if has_warm {
-                    placed_idx = Some(i);
-                    break;
+            let service = match self.oldest_queued() {
+                Some(head)
+                    if !self.idle[head.raw() as usize].is_empty()
+                        || self.can_create_container(head) =>
+                {
+                    head
                 }
-                // Only the head may trigger a cold start (FIFO for new
-                // capacity).
-                if i == 0 && self.can_create_container(q.service) {
-                    placed_idx = Some(0);
-                    break;
-                }
-            }
-            let Some(i) = placed_idx else { break };
-            let q = self
-                .queue
-                .remove(i)
-                .expect("queue index from the enumeration above is in bounds");
+                _ => match woken {
+                    Some(w)
+                        if !self.idle[w.raw() as usize].is_empty()
+                            && !self.queues[w.raw() as usize].is_empty() =>
+                    {
+                        w
+                    }
+                    _ => break,
+                },
+            };
+            let (_, q) = self.queues[service.raw() as usize]
+                .pop_front()
+                .expect("the chosen service has a queued query");
+            self.queued -= 1;
             let ok = self.try_place(q, now, rng, effects);
             debug_assert!(ok, "placement decided above must succeed");
         }
+        if self.order.len() > 2 * self.queued + 64 {
+            // Each service's queries leave in arrival order, so an entry
+            // is live iff its service's oldest queued query is no newer.
+            let queues = &self.queues;
+            self.order.retain(|&(arrival, sid)| {
+                queues[sid.raw() as usize]
+                    .front()
+                    .is_some_and(|&(oldest, _)| oldest <= arrival)
+            });
+        }
+        debug_assert!(
+            self.idle
+                .iter()
+                .zip(&self.queues)
+                .all(|(idle, queued)| idle.is_empty() || queued.is_empty()),
+            "a service holds an idle container and a queued query"
+        );
+        debug_assert_eq!(
+            self.queued,
+            self.queues.iter().map(VecDeque::len).sum::<usize>()
+        );
+    }
+
+    /// The service of the oldest queued query, dropping order entries
+    /// whose query already left.
+    fn oldest_queued(&mut self) -> Option<ServiceId> {
+        while let Some(&(arrival, sid)) = self.order.front() {
+            let oldest = self.queues[sid.raw() as usize].front();
+            if oldest.is_some_and(|&(a, _)| a == arrival) {
+                return Some(sid);
+            }
+            self.order.pop_front();
+        }
+        None
     }
 
     // ------------------------------------------------------------------
@@ -799,7 +868,7 @@ impl ServerlessPlatform {
             }
         }
         // The freed memory slot may unblock queued queries.
-        self.dispatch_queue(now, rng, &mut effects);
+        self.dispatch_queue(None, now, rng, &mut effects);
         let report = CrashReport {
             service,
             displaced,
