@@ -335,10 +335,7 @@ pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime)
         tenancy,
         ..
     } = world;
-    let target = tenancy
-        .as_ref()
-        .and_then(|t| t.interference_sid)
-        .unwrap_or(sid);
+    let target = tenancy.as_ref().map_or(sid, |t| t.interference_sid);
     let q = Query {
         id: QueryId::spike(chaos.spike_next_id),
         service: target,

@@ -35,7 +35,7 @@ pub(crate) struct TenancyRt {
     pub(crate) reclamation: Reclamation,
     /// The dedicated service injected pressure-spike traffic lands on
     /// in tenancy mode (registered after the meters).
-    pub(crate) interference_sid: Option<amoeba_platform::ServiceId>,
+    pub(crate) interference_sid: amoeba_platform::ServiceId,
 }
 
 /// The synthetic service chaos pressure-spike traffic executes as in

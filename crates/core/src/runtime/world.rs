@@ -242,7 +242,7 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     // exists. Appending after every plain service and workflow stage
     // keeps the master-RNG fork prefix untouched (the determinism
     // contract above).
-    let mut tenancy: Option<TenancyRt> = None;
+    let mut admission = None;
     if let Some(tn) = &exp.tenancy {
         let pool = PoolCapacity {
             cores: exp.serverless_cfg.node.cores,
@@ -270,12 +270,7 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
                 svc.push(None);
             }
         }
-        tenancy = Some(TenancyRt {
-            decisions,
-            svc,
-            reclamation: Reclamation::default(),
-            interference_sid: None,
-        });
+        admission = Some((decisions, svc));
     }
 
     // The home node of each service: where its switch protocol runs
@@ -391,12 +386,20 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     // the meters so every existing service and meter id is unchanged;
     // registration draws no RNG, and the cap override lets a spike
     // occupy the pool's full memory headroom.
-    if let Some(trt) = tenancy.as_mut() {
+    let tenancy = admission.map(|(decisions, svc)| {
         let serverless = &mut nodes[0].serverless;
-        let isid = serverless.register(interference_spec());
-        serverless.set_tenant_cap(isid, Some(exp.serverless_cfg.memory_container_cap()));
-        trt.interference_sid = Some(isid);
-    }
+        let interference_sid = serverless.register(interference_spec());
+        serverless.set_tenant_cap(
+            interference_sid,
+            Some(exp.serverless_cfg.memory_container_cap()),
+        );
+        TenancyRt {
+            decisions,
+            svc,
+            reclamation: Reclamation::default(),
+            interference_sid,
+        }
+    });
 
     // Initial modes: background pinned serverless; foreground starts
     // on IaaS (Amoeba's safe default, §III) except under OpenWhisk.
