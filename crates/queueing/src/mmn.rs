@@ -574,5 +574,26 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `λ(μ)` is finite and never negative. A controller may
+        /// therefore take zero load as below any non-negative multiple
+        /// of it without evaluating it.
+        #[test]
+        fn discriminant_is_finite_and_nonnegative(
+            n in 1u32..257,
+            mu in (-6.0f64..=6.0).prop_map(|e| 10f64.powf(e)),
+            t_d in (0.0f64..1.0).prop_map(|u| 10.0 * (1.0 - u)),
+            r in 0.5f64..=0.999,
+        ) {
+            let lam = model(n, mu).discriminant_lambda(t_d, r);
+            prop_assert!(
+                lam.is_finite() && lam >= 0.0,
+                "n={n} mu={mu} t_d={t_d} r={r}: λ(μ) = {lam}"
+            );
+        }
+    }
+
     use proptest::prelude::*;
 }

@@ -16,7 +16,7 @@
 //! cargo test --release --test fleet_scale -- --include-ignored --nocapture
 //! ```
 
-use amoeba::fleet::FleetSpec;
+use amoeba::fleet::{FleetOutcome, FleetSpec};
 
 /// A 64-service, 8-cell fleet over three compressed days with the full
 /// epoch exchange (pressure coupling + reclamation) enabled.
@@ -82,6 +82,28 @@ fn window_filling_fleet_digest_is_pinned() {
         "window-filling fleet digest {:#018x} changed",
         out.digest
     );
+}
+
+/// A recorded run fills in μ and λ(μ) for every tick record, a quiet
+/// run only where a verdict reads them, so the two must simulate the
+/// same fleet. With the default long-tail peaks most of this fleet's
+/// decisions find a serverless-resident service at zero load.
+#[test]
+fn quiet_and_recorded_window_filling_fleets_agree() {
+    let quiet = window_filling_fleet().build().run_quiet(1);
+    let recorded = window_filling_fleet().build().run(1);
+    assert_eq!(quiet.totals, recorded.totals);
+    assert_eq!(quiet.events, recorded.events);
+    assert_eq!(quiet.epochs, recorded.epochs);
+    let switches = |out: &FleetOutcome| {
+        out.results
+            .iter()
+            .flat_map(|cell| &cell.services)
+            .map(|s| (s.name.clone(), s.switch_history.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(switches(&quiet), switches(&recorded));
+    assert!(recorded.totals.switches > 0, "no service ever switched");
 }
 
 /// The fleet executor's exchange is live, not decorative: with
