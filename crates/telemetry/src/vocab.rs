@@ -87,15 +87,16 @@ vocabulary! {
         InTransition = "in_transition",
         /// `min_dwell` since the last switch has not elapsed.
         DwellPending = "dwell_pending",
-        /// IaaS-resident, `V_u < down_margin · λ(μ)` and the impact check
-        /// passed: switch down.
+        /// IaaS-resident, `V_u < 0.65 · λ(μ)` (the controller's
+        /// `DOWN_MARGIN`) and the impact check passed: switch down.
         LoadBelowDownMargin = "load_below_down_margin",
         /// IaaS-resident, load too high for the pool: stay.
         LoadAboveDownMargin = "load_above_down_margin",
         /// IaaS-resident, load admissible but the §III impact check vetoed
         /// the move.
         ImpactVetoed = "impact_vetoed",
-        /// Serverless-resident, `V_u > up_margin · λ(μ)`: switch up.
+        /// Serverless-resident, `V_u > 0.85 · λ(μ)` (the controller's
+        /// `UP_MARGIN`): switch up.
         LoadAboveUpMargin = "load_above_up_margin",
         /// Serverless-resident, load admissible: stay.
         LoadBelowUpMargin = "load_below_up_margin",
