@@ -378,11 +378,12 @@ fn decide_explained_matches_decide_and_carries_reasons() {
     );
     assert_eq!(d, Decision::SwitchToServerless);
     assert_eq!(tr.reason, TickReason::LoadBelowDownMargin);
-    assert!(tr.load_qps > 0.0 && tr.load_qps < tr.lambda_max);
-    assert!(tr.mu > 0.0);
+    let eq5 = tr.discriminant.expect("the verdict read λ(μ)");
+    assert!(tr.load_qps > 0.0 && tr.load_qps < eq5.lambda_max);
+    assert!(eq5.mu > 0.0);
     // Dwell pending: Stay regardless of load, with the dwell reason —
-    // and the trace still carries the quantities for the record.
-    let (d, tr) = c.decide_explained(
+    // Eq. 5 unread, but the record still gets its quantities.
+    let (d, mut tr) = c.decide_explained(
         0,
         DeployMode::Iaas,
         now,
@@ -393,7 +394,8 @@ fn decide_explained_matches_decide_and_carries_reasons() {
     );
     assert_eq!(d, Decision::Stay);
     assert_eq!(tr.reason, TickReason::DwellPending);
-    assert!(tr.lambda_max > 0.0);
+    assert_eq!(tr.discriminant, None);
+    assert!(c.fill_discriminant(0, &mut tr).lambda_max > 0.0);
     // decide() is the explained verdict with the trace discarded.
     let d2 = c.decide(
         0,
@@ -405,6 +407,65 @@ fn decide_explained_matches_decide_and_carries_reasons() {
         &[],
     );
     assert_eq!(d2, Decision::SwitchToServerless);
+}
+
+/// At zero load a serverless-resident service stays whatever `λ(μ)`
+/// is, so its verdict reads no Eq. 5; an IaaS-resident one switches
+/// down exactly when `λ(μ) > 0`, so its verdict must read it. Either
+/// way the record's `μ` and `λ(μ)` are the controller's own at the
+/// trace's pressures, bit for bit.
+#[test]
+fn zero_load_reads_eq5_only_where_the_verdict_depends_on_it() {
+    // One service time of `float` alone misses a 1 ms target, so its
+    // λ(μ) is exactly 0; at the spec's own target it is positive.
+    let mut tight = benchmarks::float();
+    tight.qos_target_s = 1e-3;
+    let c = controller_with(vec![tight, benchmarks::float()]);
+    let now = SimTime::from_secs(100);
+    let pressures = [0.3, 0.1, 0.0];
+    let same_as_controller = |idx: usize, tr: &DecisionTrace, eq5: Discriminant| {
+        let mu = c.predicted_mu(idx, tr.pressures, CALIBRATED);
+        let lambda_max = c.lambda_max(idx, tr.pressures, CALIBRATED);
+        assert_eq!(eq5.mu.to_bits(), mu.to_bits());
+        assert_eq!(eq5.lambda_max.to_bits(), lambda_max.to_bits());
+    };
+    for (idx, admissible) in [(1, true), (0, false)] {
+        let decide = |mode| c.decide(idx, mode, now, SimTime::ZERO, pressures, CALIBRATED, &[]);
+        let explain =
+            |mode| c.decide_explained(idx, mode, now, SimTime::ZERO, pressures, CALIBRATED, &[]);
+
+        assert_eq!(decide(DeployMode::Serverless), Decision::Stay);
+        let (d, mut tr) = explain(DeployMode::Serverless);
+        assert_eq!(
+            (d, tr.reason),
+            (Decision::Stay, TickReason::LoadBelowUpMargin)
+        );
+        assert_eq!(tr.eval_qps, 0.0);
+        assert_eq!(tr.discriminant, None, "service {idx}: Eq. 5 evaluated");
+        let eq5 = c.fill_discriminant(idx, &mut tr);
+        same_as_controller(idx, &tr, eq5);
+        assert_eq!(
+            eq5.lambda_max > 0.0,
+            admissible,
+            "λ(μ) = {}",
+            eq5.lambda_max
+        );
+        assert_eq!(tr.discriminant, Some(eq5), "filled once, kept");
+
+        let want = if admissible {
+            (
+                Decision::SwitchToServerless,
+                TickReason::LoadBelowDownMargin,
+            )
+        } else {
+            (Decision::Stay, TickReason::LoadAboveDownMargin)
+        };
+        assert_eq!(decide(DeployMode::Iaas), want.0);
+        let (d, tr) = explain(DeployMode::Iaas);
+        assert_eq!((d, tr.reason), want, "service {idx}");
+        let eq5 = tr.discriminant.expect("the IaaS verdict reads λ(μ)");
+        same_as_controller(idx, &tr, eq5);
+    }
 }
 
 /// Test stub: a forecaster pinned to one value regardless of input.

@@ -302,7 +302,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         // pure, so this costs nothing when the
         // sink is disabled).
         if sink.enabled() {
-            let (_, tr) = controller.decide_explained(
+            let (_, mut tr) = controller.decide_explained(
                 idx,
                 mode,
                 now,
@@ -311,13 +311,14 @@ fn decide_service<S: TelemetrySink + ?Sized>(
                 weights,
                 others,
             );
+            let eq5 = controller.fill_discriminant(idx, &mut tr);
             sink.record(TelemetryEvent::Tick(TickRecord {
                 t: now,
                 service: idx,
                 mode,
                 load_qps: tr.load_qps,
-                mu: tr.mu,
-                lambda_max: tr.lambda_max,
+                mu: eq5.mu,
+                lambda_max: eq5.lambda_max,
                 pressures: tr.pressures,
                 weights,
                 decision: Decision::Stay,
@@ -327,7 +328,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         }
         return;
     }
-    let (decision, tr) = controller.decide_explained(
+    let (decision, mut tr) = controller.decide_explained(
         idx,
         mode,
         now,
@@ -337,13 +338,16 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         others,
     );
     if sink.enabled() {
+        // The record carries μ and λ(μ) even where the verdict read
+        // neither; the values are the same either way.
+        let eq5 = controller.fill_discriminant(idx, &mut tr);
         sink.record(TelemetryEvent::Tick(TickRecord {
             t: now,
             service: idx,
             mode,
             load_qps: tr.load_qps,
-            mu: tr.mu,
-            lambda_max: tr.lambda_max,
+            mu: eq5.mu,
+            lambda_max: eq5.lambda_max,
             pressures: tr.pressures,
             weights,
             decision,
