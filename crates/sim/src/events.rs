@@ -1,17 +1,17 @@
-//! Cancellable event calendar with deterministic ordering.
+//! Deterministically ordered event calendar.
 //!
-//! Events scheduled for the same instant pop in the order they were pushed
-//! (FIFO tie-break on a monotone sequence number), so a simulation run is a
-//! pure function of its inputs and seed.
+//! Events scheduled for the same instant pop in the order they were
+//! pushed, so a simulation run is a pure function of its inputs and seed.
 //!
 //! The queue is a calendar (bucket ring) keyed on the discrete microsecond
 //! grid rather than a binary heap: each bucket covers `2^BUCKET_SHIFT` µs
-//! and holds its events in ascending `(time, seq)` order, so the hot path —
-//! push at `now + δ`, pop the front of the cursor's bucket — is O(1) with
-//! no heap sift. Events past the ring's horizon stay in their modulo slot
-//! and are filtered by an absolute-bucket lap check; a full fruitless lap
-//! makes the cursor jump straight to the earliest occupied bucket, so a
-//! sparse calendar never degenerates into a linear scan per pop.
+//! and holds its events in ascending time order, ties in push order, so
+//! the hot path — push at `now + δ`, pop the front of the cursor's
+//! bucket — is O(1) with no heap sift. Events past the ring's horizon
+//! stay in their modulo slot and are filtered by an absolute-bucket lap
+//! check; a full fruitless lap makes the cursor jump straight to the
+//! earliest occupied bucket, so a sparse calendar never degenerates into
+//! a linear scan per pop.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -23,40 +23,20 @@ const BUCKET_SHIFT: u32 = 14;
 const RING: usize = 2048;
 const RING_MASK: u64 = (RING as u64) - 1;
 
-/// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    /// The raw sequence number, mostly useful in logs.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// An event popped from the queue: when it fires, its handle, and the
-/// caller-defined payload.
+/// An event on the calendar: when it fires and the caller-defined
+/// payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledEvent<E> {
     /// The instant the event fires.
     pub time: SimTime,
-    /// The handle it was scheduled under.
-    pub id: EventId,
     /// The caller-defined payload.
     pub payload: E,
 }
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> Entry<E> {
-    /// Absolute bucket index on the tick grid (not yet masked to the ring).
-    fn abs(&self) -> u64 {
-        self.time.as_micros() >> BUCKET_SHIFT
-    }
+/// Absolute bucket index of `time` on the tick grid (not yet masked to
+/// the ring).
+fn abs_bucket(time: SimTime) -> u64 {
+    time.as_micros() >> BUCKET_SHIFT
 }
 
 /// A priority queue of future events.
@@ -68,29 +48,23 @@ impl<E> Entry<E> {
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs(2), "later");
-/// let first = q.push(SimTime::from_secs(1), "sooner");
-/// q.cancel(first);
+/// q.push(SimTime::from_secs(1), "first");
+/// q.push(SimTime::from_secs(1), "second");
+/// assert_eq!(q.pop().unwrap().payload, "first");
+/// assert_eq!(q.pop().unwrap().payload, "second");
 /// assert_eq!(q.pop().unwrap().payload, "later");
 /// ```
-///
-/// Cancellation is lazy: cancelled entries stay in their bucket and are
-/// skipped when the cursor reaches them, which keeps `cancel` cheap without
-/// a secondary index into the calendar.
 pub struct EventQueue<E> {
-    /// The bucket ring. Each bucket holds entries whose absolute bucket
-    /// index is congruent to its slot, in ascending `(time, seq)` order.
-    ring: Vec<VecDeque<Entry<E>>>,
+    /// The bucket ring. Each bucket holds events whose absolute bucket
+    /// index is congruent to its slot, in ascending time order with ties
+    /// in push order.
+    ring: Vec<VecDeque<ScheduledEvent<E>>>,
     /// Absolute bucket index the cursor is currently draining. Invariant:
-    /// no entry's absolute index is below this (pushes into the past
+    /// no event's absolute index is below this (pushes into the past
     /// rewind it).
     cur_abs: u64,
-    next_seq: u64,
-    // Sorted would be overkill: cancellations are rare relative to pushes.
-    cancelled: std::collections::HashSet<u64>,
-    /// Pending (non-cancelled) events.
-    live: usize,
-    /// All stored entries, including not-yet-swept tombstones.
-    entries: usize,
+    /// Pending events.
+    len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -105,95 +79,47 @@ impl<E> EventQueue<E> {
         EventQueue {
             ring: (0..RING).map(|_| VecDeque::new()).collect(),
             cur_abs: 0,
-            next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            live: 0,
-            entries: 0,
+            len: 0,
         }
     }
 
-    /// Schedule `payload` to fire at `time`. Returns a handle that can be
-    /// used to cancel it.
-    pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let abs = time.as_micros() >> BUCKET_SHIFT;
+    /// Schedule `payload` to fire at `time`, after every event already
+    /// scheduled at or before `time`.
+    pub fn push(&mut self, time: SimTime, payload: E) {
+        let abs = abs_bucket(time);
         // Scheduling before the cursor (never done by the runtime, but
-        // legal) rewinds it so the entry is still reachable.
+        // legal) rewinds it so the event is still reachable.
         if abs < self.cur_abs {
             self.cur_abs = abs;
         }
         let bucket = &mut self.ring[(abs & RING_MASK) as usize];
-        let entry = Entry { time, seq, payload };
-        // `seq` is larger than every existing seq, so ordering within the
-        // bucket reduces to time: the entry goes after all entries at or
-        // before `time`. Pushes arrive in roughly ascending time, so the
+        let event = ScheduledEvent { time, payload };
+        // Landing after every event at or before `time` keeps ties in
+        // push order. Pushes arrive in roughly ascending time, so the
         // common case is a plain append.
         match bucket.back() {
             Some(last) if last.time > time => {
-                let mut lo = 0usize;
-                let mut hi = bucket.len();
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if bucket[mid].time <= time {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                bucket.insert(lo, entry);
+                let at = bucket.partition_point(|e| e.time <= time);
+                bucket.insert(at, event);
             }
-            _ => bucket.push_back(entry),
+            _ => bucket.push_back(event),
         }
-        self.live += 1;
-        self.entries += 1;
-        EventId(seq)
+        self.len += 1;
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. this call actually prevented it from firing).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
+    /// Advance the cursor until the front of its bucket is scheduled for
+    /// the current absolute bucket — the earliest pending event. Returns
+    /// `false` when no events remain.
+    fn settle(&mut self) -> bool {
+        if self.len == 0 {
             return false;
         }
-        // An id can refer to an event that already popped; inserting it into
-        // the tombstone set would leak, so only count ids we can still see.
-        if self.contains_seq(id.0) && self.cancelled.insert(id.0) {
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn contains_seq(&self, seq: u64) -> bool {
-        // O(n) scan, but cancel is used for keep-alive timers and prewarm
-        // deadlines — a handful per simulated second.
-        self.ring.iter().flatten().any(|e| e.seq == seq) && !self.cancelled.contains(&seq)
-    }
-
-    /// Advance the cursor until the front of its bucket is a live entry
-    /// scheduled for the current absolute bucket — the global `(time, seq)`
-    /// minimum — sweeping tombstones as they surface. Returns `false` when
-    /// no live events remain.
-    fn settle(&mut self) -> bool {
         let mut steps = 0usize;
-        while self.entries > 0 {
-            let bucket = &mut self.ring[(self.cur_abs & RING_MASK) as usize];
-            while let Some(front) = bucket.front() {
-                // A front from a later lap leaves the bucket parked until
-                // the cursor comes back around.
-                if front.abs() != self.cur_abs {
-                    break;
-                }
-                // Guard the tombstone probe: cancels are rare, so the
-                // set is almost always empty and the hash per settled
-                // entry would dominate this loop.
-                if !self.cancelled.is_empty() && self.cancelled.remove(&front.seq) {
-                    bucket.pop_front();
-                    self.entries -= 1;
-                    continue;
-                }
+        loop {
+            // A front from a later lap leaves the bucket parked until the
+            // cursor comes back around.
+            let bucket = &self.ring[(self.cur_abs & RING_MASK) as usize];
+            if matches!(bucket.front(), Some(front) if abs_bucket(front.time) == self.cur_abs) {
                 return true;
             }
             self.cur_abs += 1;
@@ -205,16 +131,15 @@ impl<E> EventQueue<E> {
                 self.cur_abs = self.min_front_abs();
             }
         }
-        false
     }
 
-    /// The smallest absolute bucket index over all stored entries. Only
-    /// called while `entries > 0`.
+    /// The smallest absolute bucket index over all pending events. Only
+    /// called while `len > 0`.
     fn min_front_abs(&self) -> u64 {
         self.ring
             .iter()
             .filter_map(|b| b.front())
-            .map(|e| e.abs())
+            .map(|e| abs_bucket(e.time))
             .min()
             .expect("min_front_abs on an empty calendar")
     }
@@ -224,22 +149,15 @@ impl<E> EventQueue<E> {
         if !self.settle() {
             return None;
         }
-        let bucket = &mut self.ring[(self.cur_abs & RING_MASK) as usize];
-        let entry = bucket.pop_front().expect("settle positioned the cursor");
-        self.entries -= 1;
-        self.live -= 1;
-        Some(ScheduledEvent {
-            time: entry.time,
-            id: EventId(entry.seq),
-            payload: entry.payload,
-        })
+        self.len -= 1;
+        self.ring[(self.cur_abs & RING_MASK) as usize].pop_front()
     }
 
     /// The firing time of the earliest pending event, if any.
     ///
-    /// Takes `&mut self` to position the cursor and sweep cancelled
-    /// tombstones as it looks — amortised O(1) per call, which the
-    /// epoch-sliced runtime relies on (it peeks before every pop).
+    /// Takes `&mut self` to position the cursor as it looks — amortised
+    /// O(1) per call, which the epoch-sliced runtime relies on (it peeks
+    /// before every pop).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if !self.settle() {
             return None;
@@ -249,14 +167,14 @@ impl<E> EventQueue<E> {
             .map(|e| e.time)
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 }
 
@@ -290,59 +208,21 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_firing() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        q.push(t(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().payload, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_safe_after_pop() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        let b = q.push(t(1), "b");
-        assert_eq!(q.pop().unwrap().payload, "b");
-        // b already fired; cancelling must be a no-op, not a leak.
-        assert!(!q.cancel(b));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), "a");
-        q.push(t(4), "b");
-        assert_eq!(q.peek_time(), Some(t(1)));
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(4)));
-    }
-
-    #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let ids: Vec<_> = (0..10).map(|i| q.push(t(i), i)).collect();
+        for i in 0..10 {
+            q.push(t(i), i);
+        }
         assert_eq!(q.len(), 10);
-        q.cancel(ids[3]);
-        q.cancel(ids[7]);
-        assert_eq!(q.len(), 8);
+        assert_eq!(q.peek_time(), Some(t(0)));
+        assert_eq!(q.len(), 10, "peeking removes nothing");
         let mut popped = 0;
         while q.pop().is_some() {
             popped += 1;
+            assert_eq!(q.len(), 10 - popped);
         }
-        assert_eq!(popped, 8);
+        assert_eq!(popped, 10);
         assert!(q.is_empty());
     }
 
@@ -364,19 +244,20 @@ mod tests {
             }
         }
         assert_eq!(seen, [1, 3, 5, 9]);
-        let _ = SimDuration::ZERO;
     }
 
     #[test]
     fn same_bucket_sub_tick_times_stay_ordered() {
         // Distinct times inside one bucket (< 2^BUCKET_SHIFT µs apart)
-        // must still pop by time, not insertion order.
+        // must still pop by time, not insertion order, and an
+        // out-of-order push lands after an equal time already there.
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(900), "c");
+        q.push(SimTime::from_micros(900), "d");
         q.push(SimTime::from_micros(100), "a");
         q.push(SimTime::from_micros(500), "b");
+        q.push(SimTime::from_micros(500), "c");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, ["a", "b", "c"]);
+        assert_eq!(order, ["a", "b", "c", "d"]);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! simulation, so everything above this crate needs three primitives:
 //!
 //! * a microsecond-resolution virtual clock ([`SimTime`], [`SimDuration`]),
-//! * a cancellable, deterministically ordered event calendar
-//!   ([`EventQueue`]),
+//! * a deterministically ordered event calendar ([`EventQueue`]),
 //! * reproducible randomness ([`rng`]) so that every experiment is exactly
 //!   replayable from a seed.
 //!
@@ -21,6 +20,6 @@ pub mod events;
 pub mod rng;
 pub mod time;
 
-pub use events::{EventId, EventQueue, ScheduledEvent};
+pub use events::{EventQueue, ScheduledEvent};
 pub use rng::{Distributions, SimRng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};

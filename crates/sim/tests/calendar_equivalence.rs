@@ -2,26 +2,25 @@
 //! identical to the binary-heap queue it replaced.
 //!
 //! A reference model — the old `BinaryHeap` implementation, kept here
-//! verbatim in miniature — is driven side by side with [`EventQueue`]
-//! under randomized operation streams: pushes with same-tick ties,
-//! sub-bucket orderings and far-future times past the ring horizon,
-//! lazy cancels (of live, already-popped and never-issued handles),
-//! pops and peeks interleaved. Every observable — pop order `(time,
-//! seq, payload)`, peeked times, cancel return values, lengths — must
-//! match exactly, which is the executable form of the golden-trace
-//! argument: swapping the queue cannot perturb any simulation.
+//! in miniature — is driven side by side with [`EventQueue`] under
+//! randomized operation streams: pushes with same-tick ties, sub-bucket
+//! orderings and far-future times past the ring horizon, pops and peeks
+//! interleaved. Every observable — pop order `(time, payload)`, peeked
+//! times, lengths — must match exactly, which is the executable form of
+//! the golden-trace argument: swapping the queue cannot perturb any
+//! simulation. Every push carries a distinct payload, so matching
+//! payloads means matching push order within a tie.
 
 use amoeba_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-/// The pre-calendar implementation, reduced to its observable API.
+/// The pre-calendar implementation, reduced to its observable API: a
+/// min-heap on `(time, seq)`, where `seq` counts pushes.
 struct HeapQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,
-    cancelled: HashSet<u64>,
-    live: usize,
 }
 
 struct HeapEntry<E> {
@@ -55,58 +54,25 @@ impl<E> HeapQueue<E> {
         HeapQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: HashSet::new(),
-            live: 0,
         }
     }
 
-    fn push(&mut self, time: SimTime, payload: E) -> u64 {
+    fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(HeapEntry { time, seq, payload });
-        self.live += 1;
-        seq
     }
 
-    fn cancel(&mut self, seq: u64) -> bool {
-        if seq >= self.next_seq {
-            return false;
-        }
-        let visible = self.heap.iter().any(|e| e.seq == seq) && !self.cancelled.contains(&seq);
-        if visible && self.cancelled.insert(seq) {
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.live -= 1;
-            return Some((entry.time, entry.seq, entry.payload));
-        }
-        None
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 }
 
@@ -119,21 +85,17 @@ enum Op {
     Push(u32),
     /// Push far past the ring horizon (> 2048 × 16.4 ms ≈ 33.6 s).
     PushFar(u32),
-    /// Cancel the id issued by push number `k` (mod pushes so far) —
-    /// may be live, already popped, or already cancelled.
-    Cancel(u8),
     Pop,
     Peek,
 }
 
 /// Decode a generated `(tag, value)` pair into a weighted op: pushes
-/// dominate, with far-pushes, cancels, pops and peeks mixed in.
+/// dominate, with far-pushes, pops and peeks mixed in.
 fn decode(tag: u8, value: u32) -> Op {
-    match tag % 12 {
+    match tag % 11 {
         0..=4 => Op::Push(value % 5_000),
         5 => Op::PushFar(value % 100_000),
-        6 => Op::Cancel((value % 256) as u8),
-        7..=9 => Op::Pop,
+        6..=8 => Op::Pop,
         _ => Op::Peek,
     }
 }
@@ -141,9 +103,6 @@ fn decode(tag: u8, value: u32) -> Op {
 fn run_schedule(ops: &[Op]) {
     let mut calendar: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapQueue<u64> = HeapQueue::new();
-    // Handles issued so far, in push order, paired by construction.
-    let mut cal_ids = Vec::new();
-    let mut heap_ids = Vec::new();
     let mut horizon = SimTime::ZERO;
     let mut payload = 0u64;
 
@@ -160,18 +119,12 @@ fn run_schedule(ops: &[Op]) {
                 if matches!(op, Op::Push(_)) {
                     horizon = horizon.max(t);
                 }
-                cal_ids.push(calendar.push(t, payload));
-                heap_ids.push(heap.push(t, payload));
+                calendar.push(t, payload);
+                heap.push(t, payload);
                 payload += 1;
             }
-            Op::Cancel(k) => {
-                if !cal_ids.is_empty() {
-                    let i = usize::from(*k) % cal_ids.len();
-                    assert_eq!(calendar.cancel(cal_ids[i]), heap.cancel(heap_ids[i]));
-                }
-            }
             Op::Pop => {
-                let got = calendar.pop().map(|e| (e.time, e.id.raw(), e.payload));
+                let got = calendar.pop().map(|e| (e.time, e.payload));
                 assert_eq!(got, heap.pop());
             }
             Op::Peek => {
@@ -184,7 +137,7 @@ fn run_schedule(ops: &[Op]) {
 
     // Drain both: the full remaining order must agree.
     loop {
-        let got = calendar.pop().map(|e| (e.time, e.id.raw(), e.payload));
+        let got = calendar.pop().map(|e| (e.time, e.payload));
         let want = heap.pop();
         assert_eq!(got, want);
         if got.is_none() {
@@ -196,11 +149,11 @@ fn run_schedule(ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Randomized interleavings of push / far-push / cancel / pop /
-    /// peek observe identical behaviour from both queues.
+    /// Randomized interleavings of push / far-push / pop / peek
+    /// observe identical behaviour from both queues.
     #[test]
     fn calendar_matches_binary_heap(
-        raw in proptest::collection::vec((0u8..12, 0u32..1_000_000), 1..200),
+        raw in proptest::collection::vec((0u8..11, 0u32..1_000_000), 1..200),
     ) {
         let ops: Vec<Op> = raw.into_iter().map(|(t, v)| decode(t, v)).collect();
         run_schedule(&ops);
