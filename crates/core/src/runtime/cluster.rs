@@ -208,16 +208,16 @@ mod tests {
                 })
                 .collect(),
             fabric: Fabric::new(Scheduler::default(), &topology),
-            bus: EffectBus::new(),
+            bus: EffectBus::default(),
             platform_rng: SimRng::seed_from_u64(1),
             iaas_rng: SimRng::seed_from_u64(2),
         }
     }
 
+    /// Empty the bus, returning the node each pending effect is tagged
+    /// with.
     fn pending_nodes(c: &mut Cluster) -> Vec<NodeId> {
-        c.bus
-            .take_batch()
-            .into_iter()
+        std::iter::from_fn(|| c.bus.pop())
             .map(|(node, _)| node)
             .collect()
     }
@@ -305,7 +305,10 @@ mod tests {
                 now,
                 &mut queue,
             );
-            assert!(c.bus.is_idle(), "nothing reaches node {i} before delivery");
+            assert!(
+                c.bus.pop().is_none(),
+                "nothing reaches node {i} before delivery"
+            );
             assert_eq!(c.nodes[i].serverless.container_count(FLOAT), 1);
             let fired = queue.pop().expect("a delivery event");
             assert_eq!(fired.time, now + delay);

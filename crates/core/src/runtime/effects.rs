@@ -2,46 +2,38 @@
 //! kernel.
 //!
 //! Platform calls never mutate run state directly — they return
-//! [`Effect`]s, which accumulate on the [`EffectBus`] tagged with the
-//! node that emitted them and are applied by [`apply`] after each
-//! dispatched calendar event. Applying an effect can produce further
-//! effects (an ack triggers engine actions, which command platforms,
-//! which respond); [`apply`] therefore drains in batches until the bus
-//! is idle.
+//! [`Effect`]s, which queue on the [`EffectBus`] tagged with the node
+//! that emitted them and are applied by [`apply`] after each dispatched
+//! calendar event. Applying an effect can emit further effects (an ack
+//! triggers an engine action, which commands a platform, which
+//! responds); they join the back of the queue, and [`apply`] pops until
+//! it is empty.
 
 use super::{completions, switching, Ev, Experiment, SimWorld};
 use amoeba_platform::{Effect, NodeId};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TelemetrySink;
+use std::collections::VecDeque;
 
-/// Pending platform effects with their node, in emission order. Batch
-/// draining preserves the original inline-worklist semantics:
-/// everything emitted while applying batch *n* is deferred to batch
-/// *n + 1*.
+/// Pending platform effects with their node, first in, first out.
+/// Everything emitted while one effect is applied lands behind
+/// everything already waiting, so effects apply in breadth-first
+/// emission order: all of one response before anything it causes. The
+/// queue keeps its capacity between events.
+#[derive(Default)]
 pub(crate) struct EffectBus {
-    pending: Vec<(NodeId, Effect)>,
+    pending: VecDeque<(NodeId, Effect)>,
 }
 
 impl EffectBus {
-    pub(crate) fn new() -> Self {
-        EffectBus {
-            pending: Vec::new(),
-        }
-    }
-
     /// Queue every effect of one platform response from `node`.
     pub(crate) fn extend(&mut self, node: NodeId, effects: impl IntoIterator<Item = Effect>) {
         self.pending.extend(effects.into_iter().map(|e| (node, e)));
     }
 
-    /// Is there nothing left to apply?
-    pub(crate) fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Take the current batch, leaving the bus empty for re-emission.
-    pub(crate) fn take_batch(&mut self) -> Vec<(NodeId, Effect)> {
-        std::mem::take(&mut self.pending)
+    /// The oldest pending effect, if any.
+    pub(crate) fn pop(&mut self) -> Option<(NodeId, Effect)> {
+        self.pending.pop_front()
     }
 }
 
@@ -56,28 +48,25 @@ pub(crate) fn apply<S: TelemetrySink + ?Sized>(
     now: SimTime,
     sink: &mut S,
 ) {
-    while !world.cluster.bus.is_idle() {
-        let batch = world.cluster.bus.take_batch();
-        for (node, e) in batch {
-            match e {
-                Effect::Schedule { after, event } => {
-                    world.queue.push(now + after, Ev::Platform { node, event });
+    while let Some((node, e)) = world.cluster.bus.pop() {
+        match e {
+            Effect::Schedule { after, event } => {
+                world.queue.push(now + after, Ev::Platform { node, event });
+            }
+            Effect::Completed(outcome) => {
+                if !outcome.query.id.is_shadow() {
+                    world.cluster.nodes[node.index()].totals.completed += 1;
                 }
-                Effect::Completed(outcome) => {
-                    if !outcome.query.id.is_shadow() {
-                        world.cluster.nodes[node.index()].totals.completed += 1;
-                    }
-                    completions::on_completed(exp, world, node, outcome, now, sink);
-                }
-                Effect::PrewarmReady { service } => {
-                    switching::on_prewarm_ready(world, service, now, sink);
-                }
-                Effect::VmGroupReady { service } => {
-                    switching::on_vm_group_ready(world, service, now, sink);
-                }
-                Effect::IaasDrained { service } => {
-                    switching::on_iaas_drained(world, service, now, sink);
-                }
+                completions::on_completed(exp, world, node, outcome, now, sink);
+            }
+            Effect::PrewarmReady { service } => {
+                switching::on_prewarm_ready(world, service, now, sink);
+            }
+            Effect::VmGroupReady { service } => {
+                switching::on_vm_group_ready(world, service, now, sink);
+            }
+            Effect::IaasDrained { service } => {
+                switching::on_iaas_drained(world, service, now, sink);
             }
         }
     }

@@ -469,7 +469,7 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     let heartbeat_period = SimDuration::from_secs_f64(hb_s.clamp(2.0, 30.0));
 
     // Pending effects worklist shared across the run.
-    let mut bus = EffectBus::new();
+    let mut bus = EffectBus::default();
 
     // Boot IaaS groups for services starting there; pin background
     // to serverless (engine rows exist for them but are never
