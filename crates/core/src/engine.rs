@@ -101,8 +101,8 @@ impl ServiceRoute {
 pub enum DeadlineAction {
     /// The prepare signal was re-issued (bounded retry with backoff).
     Retried {
-        /// The re-issued prepare actions to dispatch.
-        actions: Vec<EngineAction>,
+        /// The re-issued prepare action to dispatch.
+        action: EngineAction,
         /// Which retry this is (1-based).
         attempt: u32,
         /// Prewarm containers the retry asks for (0 toward IaaS).
@@ -111,8 +111,8 @@ pub enum DeadlineAction {
     /// Retries exhausted: the transition was rolled back. The router
     /// stays on the old platform; the prepared side is released.
     Aborted {
-        /// The release actions to dispatch.
-        actions: Vec<EngineAction>,
+        /// The release of the prepared side, to dispatch.
+        action: EngineAction,
         /// Prewarm containers wasted by the failed attempt.
         prewarm: u32,
         /// When the original (first) prepare signal was issued.
@@ -237,12 +237,13 @@ impl HybridEngine {
         &self.routes[service.raw() as usize].history
     }
 
-    /// Begin a switch to `target`. Returns the preparation actions; the
-    /// runtime executes them against the platforms and later calls
+    /// Begin a switch to `target`. Returns the preparation action; the
+    /// runtime executes it against the platforms and later calls
     /// [`Self::on_ready`] when the ack arrives. `prewarm_count` is Eq. 7's
     /// `n` (ignored for switches toward IaaS). With prewarming disabled
     /// (NoP) a switch to serverless commits immediately and the returned
-    /// actions already include the IaaS release.
+    /// action is the IaaS release instead. `None` when the service is
+    /// already in `target` or mid-switch.
     ///
     /// Emits a `Requested` switch-protocol stage to `sink` (for the NoP
     /// immediate flip, also `Flip` and `ReleaseIssued` at the same
@@ -255,11 +256,11 @@ impl HybridEngine {
         load: f64,
         now: SimTime,
         sink: &mut S,
-    ) -> Vec<EngineAction> {
+    ) -> Option<EngineAction> {
         let home = self.home[service.raw() as usize];
         let r = &mut self.routes[service.raw() as usize];
         if r.mode == target || !matches!(r.transition, Transition::Steady) {
-            return Vec::new();
+            return None;
         }
         let from = r.mode;
         match target {
@@ -282,11 +283,11 @@ impl HybridEngine {
                         prewarm_count,
                         load,
                     );
-                    vec![EngineAction::Prepare {
+                    Some(EngineAction::Prepare {
                         service,
                         target: TargetId::serverless(home),
                         count: prewarm_count,
-                    }]
+                    })
                 } else {
                     // NoP: flip immediately; queries cold start.
                     r.mode = DeployMode::Serverless;
@@ -300,10 +301,10 @@ impl HybridEngine {
                     ] {
                         emit_phase(sink, now, service, from, target, phase, 0, load);
                     }
-                    vec![EngineAction::Release {
+                    Some(EngineAction::Release {
                         service,
                         target: TargetId::iaas(home),
-                    }]
+                    })
                 }
             }
             DeployMode::Iaas => {
@@ -325,20 +326,21 @@ impl HybridEngine {
                     0,
                     load,
                 );
-                vec![EngineAction::Prepare {
+                Some(EngineAction::Prepare {
                     service,
                     target: TargetId::iaas(home),
                     count: 0,
-                }]
+                })
             }
         }
     }
 
     /// The target side acked readiness (PrewarmReady or VmGroupReady):
-    /// flip the router and release the old side. `load` is recorded in
-    /// the switch history. Stale acks (no transition pending, or for the
-    /// wrong side) are ignored — e.g. a VmGroupReady from an activation
-    /// that a faster opposite decision already cancelled.
+    /// flip the router and return the release of the old side. `load` is
+    /// recorded in the switch history. Stale acks (no transition
+    /// pending, or for the wrong side) are ignored and return `None` —
+    /// e.g. a VmGroupReady from an activation that a rolled-back switch
+    /// left in flight.
     ///
     /// Emits `Ack`, `Flip` and `ReleaseIssued` stages (all at `now`: the
     /// router flips as soon as the ack lands, and the old side's release
@@ -350,14 +352,14 @@ impl HybridEngine {
         load: f64,
         now: SimTime,
         sink: &mut S,
-    ) -> Vec<EngineAction> {
+    ) -> Option<EngineAction> {
         let home = self.home[service.raw() as usize];
         let r = &mut self.routes[service.raw() as usize];
         let Transition::Preparing { target, .. } = r.transition else {
-            return Vec::new();
+            return None;
         };
         if target != side {
-            return Vec::new();
+            return None;
         }
         let from = r.mode;
         r.mode = target;
@@ -371,65 +373,17 @@ impl HybridEngine {
         ] {
             emit_phase(sink, now, service, from, target, phase, 0, load);
         }
-        match target {
+        let old = match target {
             DeployMode::Serverless => {
                 r.arm_drain(now);
-                vec![EngineAction::Release {
-                    service,
-                    target: TargetId::iaas(home),
-                }]
+                TargetId::iaas(home)
             }
-            DeployMode::Iaas => vec![EngineAction::Release {
-                service,
-                target: TargetId::serverless(home),
-            }],
-        }
-    }
-
-    /// Abort an in-flight transition (e.g. the controller reversed its
-    /// decision before the ack). The prepared resources are released.
-    /// Emits an `Aborted` stage closing the open switch span.
-    pub fn abort_transition<S: TelemetrySink + ?Sized>(
-        &mut self,
-        service: ServiceId,
-        now: SimTime,
-        sink: &mut S,
-    ) -> Vec<EngineAction> {
-        let home = self.home[service.raw() as usize];
-        let r = &mut self.routes[service.raw() as usize];
-        let Transition::Preparing {
-            target,
-            prewarm,
-            load,
-            ..
-        } = r.transition
-        else {
-            return Vec::new();
+            DeployMode::Iaas => TargetId::serverless(home),
         };
-        r.transition = Transition::Steady;
-        emit_phase(
-            sink,
-            now,
+        Some(EngineAction::Release {
             service,
-            r.mode,
-            target,
-            SwitchPhase::Aborted,
-            prewarm,
-            load,
-        );
-        match target {
-            DeployMode::Serverless => vec![EngineAction::Release {
-                service,
-                target: TargetId::serverless(home),
-            }],
-            DeployMode::Iaas => {
-                r.arm_drain(now);
-                vec![EngineAction::Release {
-                    service,
-                    target: TargetId::iaas(home),
-                }]
-            }
-        }
+            target: old,
+        })
     }
 
     /// Enforce the ack deadline for a service's in-flight transition.
@@ -465,6 +419,10 @@ impl HybridEngine {
         if now < deadline {
             return None;
         }
+        let prepared = TargetId {
+            node: home,
+            mode: target,
+        };
         if retries < self.max_ack_retries {
             r.transition = Transition::Preparing {
                 target,
@@ -476,23 +434,35 @@ impl HybridEngine {
             if target == DeployMode::Iaas {
                 r.drain_deadline = None;
             }
-            let actions = vec![EngineAction::Prepare {
-                service,
-                target: TargetId {
-                    node: home,
-                    mode: target,
-                },
-                count: prewarm,
-            }];
             Some(DeadlineAction::Retried {
-                actions,
+                action: EngineAction::Prepare {
+                    service,
+                    target: prepared,
+                    count: prewarm,
+                },
                 attempt: retries + 1,
                 prewarm,
             })
         } else {
-            let actions = self.abort_transition(service, now, sink);
+            r.transition = Transition::Steady;
+            emit_phase(
+                sink,
+                now,
+                service,
+                r.mode,
+                target,
+                SwitchPhase::Aborted,
+                prewarm,
+                load,
+            );
+            if target == DeployMode::Iaas {
+                r.arm_drain(now);
+            }
             Some(DeadlineAction::Aborted {
-                actions,
+                action: EngineAction::Release {
+                    service,
+                    target: prepared,
+                },
                 prewarm,
                 requested_at,
             })
@@ -571,26 +541,26 @@ mod tests {
     fn switch_to_serverless_prewarms_then_flips() {
         let mut sink = NoopSink;
         let mut e = HybridEngine::new(1, DeployMode::Iaas, true);
-        let actions = e.begin_switch(S, DeployMode::Serverless, 5, 8.0, t(10), &mut sink);
+        let action = e.begin_switch(S, DeployMode::Serverless, 5, 8.0, t(10), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Prepare {
+            action,
+            Some(EngineAction::Prepare {
                 service: S,
                 target: SLS,
                 count: 5
-            }]
+            })
         );
         // Router still points at IaaS until the ack (§V-B: "the
         // transformation only occurs after acknowledgement received").
         assert_eq!(e.mode(S), DeployMode::Iaas);
         assert!(e.in_transition(S));
-        let actions = e.on_ready(S, DeployMode::Serverless, 8.0, t(12), &mut sink);
+        let action = e.on_ready(S, DeployMode::Serverless, 8.0, t(12), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Release {
+            action,
+            Some(EngineAction::Release {
                 service: S,
                 target: VMS
-            }]
+            })
         );
         assert_eq!(e.mode(S), DeployMode::Serverless);
         assert!(!e.in_transition(S));
@@ -602,23 +572,23 @@ mod tests {
     fn switch_to_iaas_boots_then_flips() {
         let mut sink = NoopSink;
         let mut e = HybridEngine::new(1, DeployMode::Serverless, true);
-        let actions = e.begin_switch(S, DeployMode::Iaas, 0, 80.0, t(20), &mut sink);
+        let action = e.begin_switch(S, DeployMode::Iaas, 0, 80.0, t(20), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Prepare {
+            action,
+            Some(EngineAction::Prepare {
                 service: S,
                 target: VMS,
                 count: 0
-            }]
+            })
         );
         assert_eq!(e.mode(S), DeployMode::Serverless);
-        let actions = e.on_ready(S, DeployMode::Iaas, 80.0, t(31), &mut sink);
+        let action = e.on_ready(S, DeployMode::Iaas, 80.0, t(31), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Release {
+            action,
+            Some(EngineAction::Release {
                 service: S,
                 target: SLS
-            }]
+            })
         );
         assert_eq!(e.mode(S), DeployMode::Iaas);
     }
@@ -627,27 +597,27 @@ mod tests {
     fn nop_variant_flips_immediately_without_prewarm() {
         let mut sink = MemorySink::new();
         let mut e = HybridEngine::new(1, DeployMode::Iaas, false);
-        let actions = e.begin_switch(S, DeployMode::Serverless, 5, 3.0, t(10), &mut sink);
+        let action = e.begin_switch(S, DeployMode::Serverless, 5, 3.0, t(10), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Release {
+            action,
+            Some(EngineAction::Release {
                 service: S,
                 target: VMS
-            }]
+            })
         );
         assert_eq!(e.mode(S), DeployMode::Serverless, "NoP routes directly");
         assert!(!e.in_transition(S));
         // Toward IaaS, NoP still waits for VMs (nothing cold-start-like
         // about that direction; the paper's ablation only drops container
         // prewarming).
-        let actions = e.begin_switch(S, DeployMode::Iaas, 0, 90.0, t(30), &mut sink);
+        let action = e.begin_switch(S, DeployMode::Iaas, 0, 90.0, t(30), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Prepare {
+            action,
+            Some(EngineAction::Prepare {
                 service: S,
                 target: VMS,
                 count: 0
-            }]
+            })
         );
         assert_eq!(e.mode(S), DeployMode::Serverless);
         // The NoP flip's telemetry span collapses to a single instant:
@@ -664,18 +634,18 @@ mod tests {
     fn duplicate_switch_requests_are_ignored() {
         let mut sink = NoopSink;
         let mut e = HybridEngine::new(1, DeployMode::Iaas, true);
-        assert!(!e
+        assert!(e
             .begin_switch(S, DeployMode::Serverless, 3, 1.0, t(1), &mut sink)
-            .is_empty());
+            .is_some());
         // Second request while preparing: no-op.
         assert!(e
             .begin_switch(S, DeployMode::Serverless, 3, 1.0, t(2), &mut sink)
-            .is_empty());
+            .is_none());
         // Request for the current mode: no-op.
         let mut e2 = HybridEngine::new(1, DeployMode::Iaas, true);
         assert!(e2
             .begin_switch(S, DeployMode::Iaas, 3, 1.0, t(1), &mut sink)
-            .is_empty());
+            .is_none());
     }
 
     #[test]
@@ -687,7 +657,7 @@ mod tests {
         e.begin_switch(S, DeployMode::Serverless, 3, 1.0, t(1), &mut sink);
         e.begin_switch(S, DeployMode::Serverless, 3, 1.5, t(2), &mut sink);
         // An opposite-direction request while preparing is also ignored
-        // by the engine (the controller aborts first if it reverses).
+        // (the controller is not consulted while a switch is in flight).
         e.begin_switch(S, DeployMode::Iaas, 0, 50.0, t(3), &mut sink);
         e.on_ready(S, DeployMode::Serverless, 1.0, t(4), &mut sink);
         let trace = sink.into_trace();
@@ -705,17 +675,17 @@ mod tests {
         // Ack with no transition pending.
         assert!(e
             .on_ready(S, DeployMode::Serverless, 0.0, t(1), &mut sink)
-            .is_empty());
+            .is_none());
         // Ack for the wrong side.
         e.begin_switch(S, DeployMode::Serverless, 3, 1.0, t(2), &mut sink);
         assert!(e
             .on_ready(S, DeployMode::Iaas, 0.0, t(3), &mut sink)
-            .is_empty());
+            .is_none());
         assert!(e.in_transition(S));
         // The right ack still lands.
-        assert!(!e
+        assert!(e
             .on_ready(S, DeployMode::Serverless, 1.0, t(4), &mut sink)
-            .is_empty());
+            .is_some());
         // Ignored acks leave no trace stages: the span acks once, at the
         // genuine ready time.
         let trace = sink.into_trace();
@@ -729,19 +699,24 @@ mod tests {
     fn abort_releases_prepared_side() {
         let mut sink = MemorySink::new();
         let mut e = HybridEngine::new(1, DeployMode::Iaas, true);
+        // No retries: the first overdue ack aborts.
+        e.set_ack_policy(SimDuration::from_secs(1), 0);
         e.begin_switch(S, DeployMode::Serverless, 3, 1.0, t(1), &mut sink);
-        let actions = e.abort_transition(S, t(2), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Release {
-                service: S,
-                target: SLS
-            }]
+            e.poll_deadline(S, t(2), &mut sink),
+            Some(DeadlineAction::Aborted {
+                action: EngineAction::Release {
+                    service: S,
+                    target: SLS
+                },
+                prewarm: 3,
+                requested_at: t(1),
+            })
         );
         assert!(!e.in_transition(S));
         assert_eq!(e.mode(S), DeployMode::Iaas, "mode unchanged after abort");
-        // Abort with nothing pending: no-op.
-        assert!(e.abort_transition(S, t(3), &mut sink).is_empty());
+        // Nothing pending: no-op.
+        assert_eq!(e.poll_deadline(S, t(3), &mut sink), None);
         // The span closes as aborted, never flipped.
         let spans = sink.into_trace().switch_spans();
         assert_eq!(spans.len(), 1);
@@ -761,17 +736,17 @@ mod tests {
         // First deadline (10 s): retry 1 re-issues the prewarm.
         match e.poll_deadline(S, t(10), &mut sink) {
             Some(DeadlineAction::Retried {
-                actions,
+                action,
                 attempt,
                 prewarm,
             }) => {
                 assert_eq!(
-                    actions,
-                    vec![EngineAction::Prepare {
+                    action,
+                    EngineAction::Prepare {
                         service: S,
                         target: SLS,
                         count: 4
-                    }]
+                    }
                 );
                 assert_eq!(attempt, 1);
                 assert_eq!(prewarm, 4);
@@ -788,14 +763,14 @@ mod tests {
         assert_eq!(e.poll_deadline(S, t(69), &mut sink), None);
         match e.poll_deadline(S, t(70), &mut sink) {
             Some(DeadlineAction::Aborted {
-                actions, prewarm, ..
+                action, prewarm, ..
             }) => {
                 assert_eq!(
-                    actions,
-                    vec![EngineAction::Release {
+                    action,
+                    EngineAction::Release {
                         service: S,
                         target: SLS
-                    }]
+                    }
                 );
                 assert_eq!(prewarm, 4);
             }
@@ -823,13 +798,13 @@ mod tests {
             Some(DeadlineAction::Retried { attempt: 1, .. })
         ));
         // The retry's ack lands: normal flip, no abort.
-        let actions = e.on_ready(S, DeployMode::Serverless, 2.0, t(14), &mut sink);
+        let action = e.on_ready(S, DeployMode::Serverless, 2.0, t(14), &mut sink);
         assert_eq!(
-            actions,
-            vec![EngineAction::Release {
+            action,
+            Some(EngineAction::Release {
                 service: S,
                 target: VMS
-            }]
+            })
         );
         assert_eq!(e.mode(S), DeployMode::Serverless);
         assert_eq!(e.poll_deadline(S, t(1000), &mut sink), None, "steady");

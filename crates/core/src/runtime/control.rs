@@ -11,7 +11,6 @@
 
 use super::cluster::INGRESS;
 use super::fabric::fleet_utilization;
-use super::switching::apply_engine_actions;
 use super::tenancy::PRESSURE_CAP;
 use super::{record_forecast, Ev, Experiment, SimWorld};
 use crate::controller::prewarm_count;
@@ -262,17 +261,17 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         // keeps serving from the old platform
         // throughout, so nothing is dropped).
         if let Some(act) = engine.poll_deadline(sid, now, sink) {
-            let (actions, prewarm, rolled_back_after) = match act {
+            let (action, prewarm, rolled_back_after) = match act {
                 DeadlineAction::Retried {
-                    actions, prewarm, ..
-                } => (actions, prewarm, None),
+                    action, prewarm, ..
+                } => (action, prewarm, None),
                 DeadlineAction::Aborted {
-                    actions,
+                    action,
                     prewarm,
                     requested_at,
                 } => {
                     *failed_switches += 1;
-                    (actions, prewarm, Some(now.duration_since(requested_at)))
+                    (action, prewarm, Some(now.duration_since(requested_at)))
                 }
             };
             *wasted_prewarms += prewarm as u64;
@@ -293,7 +292,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
                     }));
                 }
             }
-            apply_engine_actions(actions, now, cluster);
+            cluster.apply(action, now);
             return;
         }
         // The controller is not consulted while a
@@ -356,8 +355,8 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         record_forecast(sink, now, idx, &tr);
     }
     let load = tr.load_qps;
-    let actions = match decision {
-        Decision::Stay => Vec::new(),
+    let action = match decision {
+        Decision::Stay => None,
         Decision::SwitchToServerless => {
             let model = controller.model(idx);
             // Prewarm for the load the decision
@@ -373,7 +372,9 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         }
         Decision::SwitchToIaas => engine.begin_switch(sid, DeployMode::Iaas, 0, load, now, sink),
     };
-    apply_engine_actions(actions, now, cluster);
+    if let Some(action) = action {
+        cluster.apply(action, now);
+    }
 }
 
 /// Shadow traffic: one mirrored query per IaaS-mode

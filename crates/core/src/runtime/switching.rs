@@ -1,27 +1,13 @@
 //! The switch protocol's effect-side handlers (§V-B): prewarm and VM
 //! boot acknowledgements flip the router through the engine, and the
-//! drained ack (or the engine's watchdog) reclaims the old side.
+//! drained ack (or the engine's watchdog) reclaims the old side. The
+//! release an ack yields goes to the platforms through
+//! `Cluster::apply`, like every engine action.
 
-use super::cluster::Cluster;
 use super::SimWorld;
-use crate::engine::EngineAction;
 use amoeba_platform::ServiceId;
 use amoeba_sim::SimTime;
 use amoeba_telemetry::{DeployMode, FaultKind, FaultRecord, TelemetryEvent, TelemetrySink};
-
-/// Carry one batch of engine actions to the nodes they target, each
-/// through [`Cluster::apply`], with responses landing on the effect
-/// bus. This is the *only* path from an engine decision to platform
-/// state.
-pub(crate) fn apply_engine_actions(
-    actions: Vec<EngineAction>,
-    now: SimTime,
-    cluster: &mut Cluster,
-) {
-    for action in actions {
-        cluster.apply(action, now);
-    }
-}
 
 /// The serverless side acked a prewarm: unless chaos eats the ack on
 /// the wire, the engine completes the switch-down and the old IaaS
@@ -57,8 +43,9 @@ pub(crate) fn on_prewarm_ready<S: TelemetrySink + ?Sized>(
             return;
         }
         let load = controller.estimated_load(idx, now);
-        let actions = engine.on_ready(service, DeployMode::Serverless, load, now, sink);
-        apply_engine_actions(actions, now, cluster);
+        if let Some(action) = engine.on_ready(service, DeployMode::Serverless, load, now, sink) {
+            cluster.apply(action, now);
+        }
     }
 }
 
@@ -80,8 +67,9 @@ pub(crate) fn on_vm_group_ready<S: TelemetrySink + ?Sized>(
     if (service.raw() as usize) < services.len() {
         let idx = service.raw() as usize;
         let load = controller.estimated_load(idx, now);
-        let actions = engine.on_ready(service, DeployMode::Iaas, load, now, sink);
-        apply_engine_actions(actions, now, cluster);
+        if let Some(action) = engine.on_ready(service, DeployMode::Iaas, load, now, sink) {
+            cluster.apply(action, now);
+        }
     }
 }
 
