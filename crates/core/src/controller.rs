@@ -73,6 +73,15 @@ pub const DOWN_MARGIN: f64 = 0.65;
 /// Eq. 5 for idle serverless services.
 pub const UP_MARGIN: f64 = 0.85;
 
+/// Minimum time between switches of one service (anti-flapping).
+pub const MIN_DWELL: SimDuration = SimDuration::from_secs(8);
+
+/// Sliding window over which arrivals estimate the load `V_u`.
+pub const LOAD_WINDOW: SimDuration = SimDuration::from_secs(4);
+
+/// EWMA factor of the μ-calibration gain.
+pub const GAIN_ALPHA: f64 = 0.15;
+
 /// Eq. 6's per-container capacity `μ` and the Eq. 5 discriminant
 /// `λ(μ)` it yields, at one effective pressure vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,32 +133,16 @@ pub struct ProactiveConfig {
     pub down_horizon: SimDuration,
 }
 
-/// Controller tuning. The hysteresis band is fixed by [`DOWN_MARGIN`]
-/// and [`UP_MARGIN`].
-#[derive(Debug, Clone, Copy)]
+/// Controller tuning. The hysteresis band ([`DOWN_MARGIN`],
+/// [`UP_MARGIN`]), the dwell ([`MIN_DWELL`]), the load window
+/// ([`LOAD_WINDOW`]) and the calibration rate ([`GAIN_ALPHA`]) are fixed.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ControllerConfig {
-    /// Minimum time between switches of one service (anti-flapping).
-    pub min_dwell: SimDuration,
-    /// Sliding window for load estimation.
-    pub load_window: SimDuration,
-    /// EWMA factor of the μ-calibration gain.
-    pub gain_alpha: f64,
     /// Proactive lookahead horizons. `None` (the default) keeps the
     /// paper's reactive rule; `Some` makes every decision for a service
     /// with an attached forecaster evaluate Eq. 5 against the upper
     /// forecast bound at the switch latency.
     pub proactive: Option<ProactiveConfig>,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            min_dwell: SimDuration::from_secs(8),
-            load_window: SimDuration::from_secs(4),
-            gain_alpha: 0.15,
-            proactive: None,
-        }
-    }
 }
 
 /// Everything the controller knows about one service.
@@ -308,9 +301,7 @@ impl DeploymentController {
         let s = &mut self.services[idx];
         s.arrivals.push_back(at);
         // Prune outside the window as we go to bound memory.
-        let cutoff = at
-            .as_micros()
-            .saturating_sub(self.cfg.load_window.as_micros());
+        let cutoff = at.as_micros().saturating_sub(LOAD_WINDOW.as_micros());
         while let Some(front) = s.arrivals.front() {
             if front.as_micros() < cutoff {
                 s.arrivals.pop_front();
@@ -320,24 +311,16 @@ impl DeploymentController {
         }
     }
 
-    /// Estimated load `V_u` in queries/second at `now`. A degenerate
-    /// (zero or non-finite) load window reads as zero load rather than
-    /// dividing into NaN/infinity.
+    /// Estimated load `V_u` in queries/second at `now`: the arrivals
+    /// inside the last [`LOAD_WINDOW`], per second.
     pub fn estimated_load(&self, idx: usize, now: SimTime) -> f64 {
-        let s = &self.services[idx];
-        let window_s = self.cfg.load_window.as_secs_f64();
-        if !(window_s.is_finite() && window_s > 0.0) {
-            return 0.0;
-        }
-        let cutoff = now
-            .as_micros()
-            .saturating_sub(self.cfg.load_window.as_micros());
-        let count = s
+        let cutoff = now.as_micros().saturating_sub(LOAD_WINDOW.as_micros());
+        let count = self.services[idx]
             .arrivals
             .iter()
             .filter(|t| t.as_micros() >= cutoff)
             .count();
-        count as f64 / window_s
+        count as f64 / LOAD_WINDOW.as_secs_f64()
     }
 
     /// Eq. 6: the predicted per-container processing capacity `μ` under
@@ -406,7 +389,7 @@ impl DeploymentController {
         }
         let target = observed_s / raw_pred;
         let s = &mut self.services[idx];
-        s.gain += self.cfg.gain_alpha * (target - s.gain);
+        s.gain += GAIN_ALPHA * (target - s.gain);
         s.gain = s.gain.clamp(0.25, 4.0);
     }
 
@@ -546,7 +529,7 @@ impl DeploymentController {
         weights: [f64; 3],
         others: &[(usize, f64)],
     ) -> (Decision, DecisionTrace) {
-        let dwell_pending = now.duration_since(last_switch) < self.cfg.min_dwell;
+        let dwell_pending = now.duration_since(last_switch) < MIN_DWELL;
         let load = self.estimated_load(idx, now);
         // Proactive (Amoeba-Pro): evaluate Eq. 5 against the *upper*
         // forecast bound at the moment a switch started now would take

@@ -82,18 +82,6 @@ fn eq7_degenerate_inputs_warm_nothing() {
 }
 
 #[test]
-fn degenerate_load_window_reads_as_zero_load() {
-    let mut c = DeploymentController::new(ControllerConfig {
-        load_window: SimDuration::ZERO,
-        ..ControllerConfig::default()
-    });
-    c.register(model_for(benchmarks::float()));
-    c.record_arrival(0, SimTime::from_secs(1));
-    let load = c.estimated_load(0, SimTime::from_secs(1));
-    assert_eq!(load, 0.0, "zero window must not divide into NaN/inf");
-}
-
-#[test]
 fn load_estimation_over_window() {
     let mut c = controller_with(vec![benchmarks::float()]);
     // 20 arrivals within the 4s window.
@@ -487,7 +475,6 @@ fn proactive_cfg() -> ControllerConfig {
             up_horizon: SimDuration::from_secs(6),
             down_horizon: SimDuration::from_secs(3),
         }),
-        ..ControllerConfig::default()
     }
 }
 

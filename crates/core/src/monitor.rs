@@ -40,12 +40,14 @@ pub fn sample_period_lower_bound(
     numerator / ((1.0 - e) * qos_target_s)
 }
 
-/// Monitor configuration.
+/// EWMA smoothing factor for meter latencies (0 < α ≤ 1; higher =
+/// more reactive).
+pub const EWMA_ALPHA: f64 = 0.3;
+
+/// Monitor configuration. The meters' smoothing factor is fixed by
+/// [`EWMA_ALPHA`].
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
-    /// EWMA smoothing factor for meter latencies (0 < α ≤ 1; higher =
-    /// more reactive).
-    pub ewma_alpha: f64,
     /// Use the PCA weight correction (false = Amoeba-NoM's pessimistic
     /// uniform weights).
     pub use_pca: bool,
@@ -65,7 +67,6 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            ewma_alpha: 0.3,
             use_pca: true,
             pca_window: 240,
             pca_min_samples: 12,
@@ -149,7 +150,7 @@ impl ContentionMonitor {
         let s = &mut self.smoothed_latency[resource];
         *s = Some(match *s {
             None => filtered,
-            Some(prev) => prev + self.cfg.ewma_alpha * (filtered - prev),
+            Some(prev) => prev + EWMA_ALPHA * (filtered - prev),
         });
     }
 

@@ -85,7 +85,8 @@ vocabulary! {
     pub enum TickReason ("reason") {
         /// A switch is already in flight; the controller was not consulted.
         InTransition = "in_transition",
-        /// `min_dwell` since the last switch has not elapsed.
+        /// The controller's `MIN_DWELL` since the last switch has not
+        /// elapsed.
         DwellPending = "dwell_pending",
         /// IaaS-resident, `V_u < 0.65 · λ(μ)` (the controller's
         /// `DOWN_MARGIN`) and the impact check passed: switch down.
