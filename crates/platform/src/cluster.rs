@@ -25,8 +25,8 @@ pub enum ClusterEvent {
     },
     /// A warm container's keep-alive elapsed. `epoch` guards against
     /// stale timers: the event only applies if the container is still
-    /// idle in the same epoch (reuse bumps the epoch instead of
-    /// cancelling the timer across the crate boundary).
+    /// idle in the same epoch (reuse bumps the epoch; the calendar
+    /// cannot cancel the timer).
     ContainerExpire {
         /// The container whose keep-alive fired.
         container: ContainerId,
@@ -81,43 +81,4 @@ pub enum Effect {
         /// The service whose group drained.
         service: ServiceId,
     },
-}
-
-impl Effect {
-    /// Convenience: split a batch of effects into (schedules, rest).
-    pub fn partition(effects: Vec<Effect>) -> (Vec<(SimDuration, ClusterEvent)>, Vec<Effect>) {
-        let mut sched = Vec::new();
-        let mut rest = Vec::new();
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => sched.push((after, event)),
-                other => rest.push(other),
-            }
-        }
-        (sched, rest)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partition_splits_schedules() {
-        let effects = vec![
-            Effect::Schedule {
-                after: SimDuration::from_secs(1),
-                event: ClusterEvent::VmBootDone {
-                    service: ServiceId(0),
-                },
-            },
-            Effect::PrewarmReady {
-                service: ServiceId(1),
-            },
-        ];
-        let (sched, rest) = Effect::partition(effects);
-        assert_eq!(sched.len(), 1);
-        assert_eq!(rest.len(), 1);
-        assert!(matches!(rest[0], Effect::PrewarmReady { .. }));
-    }
 }

@@ -64,11 +64,10 @@ struct VmGroup {
     vm_count: u32,
     state: GroupState,
     draining: bool,
-    busy: u32,
     queue: VecDeque<Query>,
-    /// In-flight queries, slab-indexed: the scheduled `IaasExecDone`
-    /// carries the ticket, so completion is an O(1) slot probe with
-    /// stale events rejected by the generation check.
+    /// In-flight queries, one per busy core, slab-indexed: the scheduled
+    /// `IaasExecDone` carries the ticket, so completion is an O(1) slot
+    /// probe with stale events rejected by the generation check.
     running: QuerySlab<RunningQuery>,
 }
 
@@ -114,7 +113,6 @@ impl IaasPlatform {
             vm_count,
             state: GroupState::Inactive,
             draining: false,
-            busy: 0,
             queue: VecDeque::new(),
             running: QuerySlab::new(),
         });
@@ -156,7 +154,7 @@ impl IaasPlatform {
 
     /// Cores busy executing queries right now.
     pub fn busy_cores(&self, service: ServiceId) -> f64 {
-        self.groups[service.raw() as usize].busy as f64
+        self.groups[service.raw() as usize].running.len() as f64
     }
 
     /// Queries waiting for a core.
@@ -249,7 +247,6 @@ impl IaasPlatform {
         let mut running: Vec<Query> = g.running.drain().into_iter().map(|r| r.query).collect();
         running.sort_unstable_by_key(|q| q.id);
         displaced.extend(running);
-        g.busy = 0;
         g.state = GroupState::Inactive;
         g.draining = false;
         (vec![Effect::IaasDrained { service }], displaced)
@@ -281,11 +278,10 @@ impl IaasPlatform {
         if g.state != GroupState::Active {
             return;
         }
-        while g.busy < g.total_cores(&cfg) {
+        while g.running.len() < g.total_cores(&cfg) as usize {
             let Some(query) = g.queue.pop_front() else {
                 break;
             };
-            g.busy += 1;
             let solo = g
                 .spec
                 .demand
@@ -337,7 +333,6 @@ impl IaasPlatform {
         let Some(run) = g.running.remove(ticket) else {
             return effects;
         };
-        g.busy -= 1;
         self.completed += 1;
         let breakdown = LatencyBreakdown {
             queue_wait: run.started.duration_since(run.query.submitted),

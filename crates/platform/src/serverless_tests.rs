@@ -39,6 +39,36 @@ fn run_effects_keep_warm(
     run_effects_inner(platform, rng, initial, start, false)
 }
 
+/// Prewarm `count` containers of `service` at `t0` and run their cold
+/// starts, dropping keep-alive expiry so they stay warm. Returns the
+/// instant the last one came up.
+fn warm_up(
+    p: &mut ServerlessPlatform,
+    rng: &mut SimRng,
+    service: ServiceId,
+    count: u32,
+    t0: SimTime,
+) -> SimTime {
+    let mut queue = amoeba_sim::EventQueue::new();
+    let schedule = |effects: Vec<Effect>, now: SimTime, queue: &mut amoeba_sim::EventQueue<_>| {
+        for e in effects {
+            if let Effect::Schedule { after, event } = e {
+                queue.push(now + after, event);
+            }
+        }
+    };
+    schedule(p.prewarm(service, count, t0, rng), t0, &mut queue);
+    let mut ready_at = t0;
+    while let Some(ev) = queue.pop() {
+        if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
+            continue;
+        }
+        ready_at = ev.time;
+        schedule(p.handle(ev.payload, ev.time, rng), ev.time, &mut queue);
+    }
+    ready_at
+}
+
 fn run_effects_inner(
     platform: &mut ServerlessPlatform,
     rng: &mut SimRng,
@@ -435,25 +465,7 @@ fn prewarm_already_satisfied_acks_immediately() {
 fn prewarmed_queries_skip_cold_start() {
     let (mut p, mut rng) = setup();
     let sid = p.register(benchmarks::float());
-    let t0 = SimTime::ZERO;
-    let eff = p.prewarm(sid, 4, t0, &mut rng);
-    // Warm them up (drop expire events to keep them alive).
-    let mut queue = amoeba_sim::EventQueue::new();
-    let (sched, _) = Effect::partition(eff);
-    for (after, event) in sched {
-        queue.push(t0 + after, event);
-    }
-    let mut ready_at = t0;
-    while let Some(ev) = queue.pop() {
-        if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
-            continue;
-        }
-        ready_at = ev.time;
-        let (sched, _) = Effect::partition(p.handle(ev.payload, ev.time, &mut rng));
-        for (after, event) in sched {
-            queue.push(ev.time + after, event);
-        }
-    }
+    let ready_at = warm_up(&mut p, &mut rng, sid, 4, SimTime::ZERO);
     let t1 = ready_at + SimDuration::from_secs(1);
     let eff = p.submit(q(9, sid, t1), t1, &mut rng);
     let before = p.cold_start_count();
@@ -467,23 +479,7 @@ fn release_service_drops_idle_containers() {
     let (mut p, mut rng) = setup();
     let sid = p.register(benchmarks::float());
     let other = p.register(benchmarks::dd());
-    let t0 = SimTime::ZERO;
-    let eff = p.prewarm(sid, 3, t0, &mut rng);
-    // Warm them (skip expires).
-    let mut queue = amoeba_sim::EventQueue::new();
-    let (sched, _) = Effect::partition(eff);
-    for (after, event) in sched {
-        queue.push(t0 + after, event);
-    }
-    while let Some(ev) = queue.pop() {
-        if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
-            continue;
-        }
-        let (sched, _) = Effect::partition(p.handle(ev.payload, ev.time, &mut rng));
-        for (after, event) in sched {
-            queue.push(ev.time + after, event);
-        }
-    }
+    warm_up(&mut p, &mut rng, sid, 3, SimTime::ZERO);
     assert_eq!(p.container_count(sid), 3);
     p.release_service(sid);
     assert_eq!(p.container_count(sid), 0);
