@@ -1,6 +1,7 @@
 //! Multi-node integration tests: pinned totals of a fault-heavy
 //! 4-node DAG run, so a change to multi-node behaviour fails here and
-//! not only in the benchmark's fingerprint, and the one-node bound on
+//! not only in the benchmark's fingerprint; the same shape under
+//! extreme chaos with VM boot faults on; and the one-node bound on
 //! tenancy.
 
 use amoeba::bench::{standard_scenario, workflow::media_pipeline};
@@ -9,21 +10,17 @@ use amoeba::core::runtime::{MultiNodeSummary, NodeTotals};
 use amoeba::core::{Experiment, MonitorConfig, RunResult, SystemVariant, WorkflowSetup};
 use amoeba::platform::Scheduler;
 use amoeba::sim::SimDuration;
+use amoeba::telemetry::{FaultKind, RecoveryKind, TelemetryEvent};
 use amoeba::tenancy::{FleetBuilder, TenancySetup};
 use amoeba::workload::{benchmarks, DiurnalPattern, LoadTrace};
 
-/// The benchmark's `chaos_dag` shape on a short day: float plus three
-/// background services, the 4-stage media DAG, a 4-node fabric (scales
-/// 1 / 0.75 / 0.75 / 0.5, 40 ms RTT) under Amoeba-per-node, a median-3
-/// monitor and `FaultPlan::mixed()` at 3× without VM boot faults.
-fn chaos_dag_run(day_s: f64, seed: u64) -> RunResult {
+/// The benchmark's `chaos_dag` shape on a short day under `plan`: float
+/// plus three background services, the 4-stage media DAG, a 4-node
+/// fabric (scales 1 / 0.75 / 0.75 / 0.5, 40 ms RTT) under
+/// Amoeba-per-node and a median-3 monitor.
+fn chaos_dag(day_s: f64, seed: u64, plan: FaultPlan) -> Experiment {
     let dag = media_pipeline();
     let trace = LoadTrace::new(DiurnalPattern::didi(), dag.peak_qps(), day_s);
-    let plan = FaultPlan {
-        vm_boot_failure_prob: 0.0,
-        vm_slow_boot_prob: 0.0,
-        ..FaultPlan::mixed().scaled(3.0)
-    };
     Experiment::builder(
         SystemVariant::Amoeba,
         SimDuration::from_secs_f64(day_s),
@@ -43,7 +40,17 @@ fn chaos_dag_run(day_s: f64, seed: u64) -> RunResult {
         ..MonitorConfig::default()
     })
     .build()
-    .run()
+}
+
+/// The benchmark's run: `FaultPlan::mixed()` at 3× without VM boot
+/// faults.
+fn chaos_dag_run(day_s: f64, seed: u64) -> RunResult {
+    let plan = FaultPlan {
+        vm_boot_failure_prob: 0.0,
+        vm_slow_boot_prob: 0.0,
+        ..FaultPlan::mixed().scaled(3.0)
+    };
+    chaos_dag(day_s, seed, plan).run()
 }
 
 fn node(submitted: u64, completed: u64, failed: u64, spills: u64) -> NodeTotals {
@@ -94,6 +101,51 @@ fn chaos_dag_totals_are_pinned() {
             ("media.merge", 17_527, 17_527, 0),
         ]
     );
+}
+
+/// The same shape with `FaultPlan::mixed()` scaled as it is, so failed
+/// and slow VM boots are on, from 3× to 100×: every query is still
+/// accounted for, and the lost boot acks drive the engine's retry and
+/// rollback paths.
+#[test]
+fn extreme_chaos_with_boot_faults_conserves_queries() {
+    let mut rolled_back = 0;
+    for (level, seed) in [(3.0, 40_082), (30.0, 40_000), (100.0, 7)] {
+        let run = format!("{level}x, seed {seed}");
+        let (r, trace) = chaos_dag(240.0, seed, FaultPlan::mixed().scaled(level)).run_traced();
+        for s in &r.services {
+            let (name, sub, done, lost) = (&s.name, s.submitted, s.completed, s.failed);
+            assert_eq!(sub, done + lost, "service {name}, {run}");
+        }
+        for w in &r.workflows {
+            let (name, sub, done, lost) = (&w.name, w.submitted, w.completed, w.failed);
+            assert_eq!(sub, done + lost, "workflow {name}, {run}");
+        }
+        let nodes = &r.multinode.as_ref().expect("a 4-node run").nodes;
+        for (i, n) in nodes.iter().enumerate() {
+            assert_eq!(n.submitted, n.completed + n.failed, "node {i}, {run}");
+        }
+        let boot_faults = trace
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e, TelemetryEvent::Fault(f)
+                    if matches!(f.kind, FaultKind::VmBootFailure | FaultKind::VmSlowBoot))
+            })
+            .count();
+        assert!(boot_faults > 0, "no boot fault injected, {run}");
+        let rollbacks = trace
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e, TelemetryEvent::Recovery(rec)
+                    if rec.kind == RecoveryKind::SwitchRolledBack)
+            })
+            .count() as u64;
+        assert_eq!(rollbacks, r.failed_switches, "{run}");
+        rolled_back += rollbacks;
+    }
+    assert!(rolled_back > 0, "no switch was rolled back");
 }
 
 /// Tenancy's admission and vendor tick model one pool, so a tenant
