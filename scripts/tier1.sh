@@ -55,6 +55,31 @@ cargo test --locked --workspace -q
 echo "== benchmark package smoke tests =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
+# Each workload's fingerprint folds every service's simulated totals,
+# so a change that keeps behaviour keeps all four. At --seconds 0 a
+# workload runs one pass, the same first pass whose fingerprint a timed
+# run reports. A deliberate behaviour change updates the pinned values
+# here and says why, as with the golden traces.
+echo "== benchmark fingerprints =="
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+for pin in paper_grid=0x3cf15bba655cb0ba fleet_week=0x54667e4bbbf9e2d8 \
+  fleet_week_digest=0x0fce2cebc27a2f58 chaos_dag=0x1f137a115a47e381; do
+  workload=${pin%%=*}
+  want=${pin#*=}
+  if ! report=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seconds 0); then
+    echo "$report" >&2
+    echo "benchmark fingerprint: the $workload run failed" >&2
+    exit 1
+  fi
+  got=$(awk '$1 == "fingerprint" { print $2 }' <<<"$report")
+  if [ "$got" != "$want" ]; then
+    echo "benchmark fingerprint: $workload reads ${got:-nothing}, pinned $want" >&2
+    exit 1
+  fi
+  echo "$workload $got"
+done
+
 # Exercise the multi-node, workflow, multi-tenant and fleet report
 # paths end to end (short day, small fleet, one seed); the release
 # binary is already built above.
